@@ -9,7 +9,6 @@
 #include "model/graph.hpp"
 #include "netlist/cone.hpp"
 #include "nn/serialize.hpp"
-#include "nn/tape.hpp"
 #include "util/checksum.hpp"
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
@@ -55,7 +54,7 @@ std::vector<float> NetTag::cached_text_embedding(const std::string& attr) const 
   // Encode outside the cache lock; a racing duplicate encode produces the
   // identical value, so which thread's insert wins does not affect results.
   const Tensor emb = expr_llm_->encode_ids(ids);
-  row.assign(emb->value.v.begin(), emb->value.v.end());
+  row = emb->value.v;
   text_cache_->insert(key, row);
   return row;
 }
@@ -113,17 +112,7 @@ NetTag::ConeEmbedding NetTag::embed(const Netlist& nl, int k_hop_override,
   const Mat feats = input_features(tag, base);
   if (timing) atomic_add_seconds(timing->text_encode, t.seconds());
   t.reset();
-  // TagFormer shapes depend only on the node count (edges change adjacency
-  // contents, not shapes), so cones of equal size replay one shared plan.
-  // Text encoding above stays outside the scope: its op sequence depends on
-  // text-cache hits and would diverge the tape.
-  plan::PlanScope plan_scope("embed|" + std::to_string(feats.rows) + "|" +
-                             std::to_string(feats.cols));
   const TagFormer::Output out = forward_features(feats, tag.edges);
-  // The caller copies these values out below, after the graph is complete —
-  // pin them so a replayed plan never reuses their bytes intra-forward.
-  plan::keep_alive(out.nodes);
-  plan::keep_alive(out.cls);
   if (timing) atomic_add_seconds(timing->tagformer, t.seconds());
   ConeEmbedding emb;
   emb.nodes = out.nodes->value;

@@ -12,7 +12,6 @@
 #include "expr/expr.hpp"
 #include "expr/transform.hpp"
 #include "model/graph.hpp"
-#include "nn/tape.hpp"
 #include "rtlgen/optimize.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -35,22 +34,6 @@ namespace {
 // at a fixed width. At width 1 the original joint-graph code path runs
 // instead, so NETTAG_THREADS=1 reproduces the serial trainer exactly.
 // ---------------------------------------------------------------------------
-
-/// FNV-1a combine for the memory-planner step signatures. The signature only
-/// needs "equal inputs => equal op/shape sequence"; hashing the exact sampled
-/// batch (strings or cone indices) is a sound, cheap proxy for the shapes the
-/// step will build. Collisions merely diverge-and-disable one signature.
-std::uint64_t sig_mix(std::uint64_t h, std::uint64_t x) {
-  h ^= x + 0x9e3779b97f4a7c15ULL;
-  return (h ^ (h >> 29)) * 0x100000001b3ULL;
-}
-
-std::uint64_t sig_mix(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-  }
-  return sig_mix(h, s.size());
-}
 
 /// Contiguous [begin, end) batch ranges, one per shard (same split rule as
 /// parallel_for so the partition is a pure function of (n, shards)).
@@ -293,21 +276,12 @@ std::vector<float> train_expr_phase(
 
   for (int step = start_step; step < options.expr_steps; ++step) {
     std::vector<std::string> anchors, positives;
-    std::uint64_t shape_sig = 0xcbf29ce484222325ULL;
     for (int b = 0; b < options.expr_batch; ++b) {
       const std::string& e = expressions[rng.index(expressions.size())];
       anchors.push_back(e);
       positives.push_back(
           transformed_expression(e, options.expr_transform_steps, rng));
-      shape_sig = sig_mix(sig_mix(shape_sig, e), positives.back());
     }
-    // At width 1 the sampled texts determine every op shape in the step; at
-    // width > 1 the sharded forwards run in the pool (untaped) and only the
-    // fixed-shape loss head on the caller is planned.
-    plan::PlanScope plan_scope(
-        "expr|" + std::to_string(shards) + "|" +
-        std::to_string(options.expr_batch) + "|" +
-        (shards > 1 ? std::string("head") : std::to_string(shape_sig)));
     Tensor a, p;
     std::vector<Tensor> raw_a(static_cast<std::size_t>(shards)),
         raw_p(static_cast<std::size_t>(shards));
@@ -730,19 +704,11 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
   }
 
   for (int step = tag_start; step < options.tag_steps; ++step) {
-    // Sample a batch of cones. The sampled cone indices key the planner
-    // signature: the same index sequence rebuilds the same graphs, hence the
-    // same op/shape sequence (mask picks only move slice offsets, which the
-    // tape does not care about).
+    // Sample a batch of cones.
     std::vector<const PreparedCone*> batch;
-    std::uint64_t cone_sig = 0xcbf29ce484222325ULL;
     for (int b = 0; b < options.graph_batch; ++b) {
-      const std::size_t pick = rng_tag.index(prepared.size());
-      batch.push_back(&prepared[pick]);
-      cone_sig = sig_mix(cone_sig, pick);
+      batch.push_back(&prepared[rng_tag.index(prepared.size())]);
     }
-    plan::PlanScope plan_scope("tag|" + std::to_string(tag_shards) + "|" +
-                               std::to_string(cone_sig));
     const std::size_t bsz = batch.size();
     const auto ranges = shard_ranges(static_cast<int>(bsz), tag_shards);
 

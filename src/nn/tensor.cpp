@@ -8,7 +8,6 @@
 #include "analysis/check.hpp"
 #include "nn/gemm.hpp"
 #include "nn/packed.hpp"
-#include "nn/tape.hpp"
 #include "util/parallel.hpp"
 
 namespace nettag {
@@ -38,19 +37,16 @@ Tensor make_op(const char* op, Mat value, std::vector<Tensor> parents,
   if (deep_checks_enabled()) check_finite(value, op, "forward output");
   bool rg = false;
   for (const Tensor& p : parents) rg = rg || p->requires_grad;
-  // Tape hook: records (or verifies on replay) this op and arms the planned
-  // gradient buffer so the Node constructor's eager grad allocation below is
-  // served from the arena. pre_op may also move `value` back to the heap if
-  // the replay just diverged from its tape.
-  const int plan_slot = plan::pre_op(op, value, parents, rg);
-  auto node = std::make_shared<Node>(std::move(value), rg);
+  // The gradient is allocated by the first backward write (ensure_grad), so
+  // a forward that never runs backward, such as a serve embed, allocates none.
+  auto node = std::make_shared<Node>(std::move(value));
+  node->requires_grad = rg;
   node->op = op;
   if (rg) {
     node->parents = std::move(parents);
     Node* raw = node.get();
     node->backward_fn = [raw, fn = std::move(grad_fn)]() { fn(raw); };
   }
-  plan::post_op(plan_slot, node);
   return node;
 }
 
@@ -108,7 +104,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                "matmul: inner dimensions differ: " + sh(a->value) + " x " +
                    sh(b->value));
   const int n = a->value.rows, k = a->value.cols, m = b->value.cols;
-  Mat out = plan::out_mat(n, m, {a.get(), b.get()});
+  Mat out(n, m);
   if (b->packed) {
     // Serve-time int8 path (nn/packed.hpp): b carries a packed copy of its
     // fp32 weights. Inference-only — backward still reads the fp32 values.
@@ -137,7 +133,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
   NETTAG_CHECK(
       a->value.rows == b->value.rows && a->value.cols == b->value.cols,
       "add: shape mismatch: " + sh(a->value) + " vs " + sh(b->value));
-  Mat out = plan::out_copy(a->value, {a.get(), b.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     const float* bv = b->value.v.data();
@@ -157,7 +153,7 @@ Tensor add_rowvec(const Tensor& a, const Tensor& b) {
   NETTAG_CHECK(b->value.rows == 1 && a->value.cols == b->value.cols,
                "add_rowvec: want NxD + 1xD, got " + sh(a->value) + " + " +
                    sh(b->value));
-  Mat out = plan::out_copy(a->value, {a.get(), b.get()});
+  Mat out = a->value;
   const int n = out.rows, d = out.cols;
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < d; ++j) out.at(i, j) += b->value.at(0, j);
@@ -179,7 +175,7 @@ Tensor sub(const Tensor& a, const Tensor& b) {
   NETTAG_CHECK(
       a->value.rows == b->value.rows && a->value.cols == b->value.cols,
       "sub: shape mismatch: " + sh(a->value) + " vs " + sh(b->value));
-  Mat out = plan::out_copy(a->value, {a.get(), b.get()});
+  Mat out = a->value;
   for (std::size_t i = 0; i < out.v.size(); ++i) out.v[i] -= b->value.v[i];
   Node* an = a.get();
   Node* bn = b.get();
@@ -198,7 +194,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   NETTAG_CHECK(a->value.v.size() == b->value.v.size(),
                "mul: element count mismatch: " + sh(a->value) + " vs " +
                    sh(b->value));
-  Mat out = plan::out_copy(a->value, {a.get(), b.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     const float* bv = b->value.v.data();
@@ -231,7 +227,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor scale(const Tensor& a, float s) {
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     for_elems(out.v.size(), par::kMinOps, [ov, s](std::size_t i0, std::size_t i1) {
@@ -252,7 +248,7 @@ Tensor scale(const Tensor& a, float s) {
 }
 
 Tensor relu(const Tensor& a) {
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     for_elems(out.v.size(), par::kMinOps, [ov](std::size_t i0, std::size_t i1) {
@@ -282,7 +278,7 @@ Tensor gelu(const Tensor& a) {
   // tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))
   constexpr float kC = kGeluC;
   constexpr float kB = kGeluB;
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     for_elems(out.v.size(), par::kMinExpOps,
@@ -314,7 +310,7 @@ Tensor gelu(const Tensor& a) {
 }
 
 Tensor tanh_op(const Tensor& a) {
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     for_elems(out.v.size(), par::kMinExpOps,
@@ -337,7 +333,7 @@ Tensor tanh_op(const Tensor& a) {
 }
 
 Tensor sigmoid(const Tensor& a) {
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     for_elems(out.v.size(), par::kMinExpOps,
@@ -363,7 +359,7 @@ Tensor sigmoid(const Tensor& a) {
 
 Tensor transpose(const Tensor& a) {
   const int n = a->value.rows, m = a->value.cols;
-  Mat out = plan::out_mat(m, n, {a.get()});
+  Mat out(m, n);
   transpose_mat(n, m, a->value.v.data(), out.v.data());
   Node* an = a.get();
   return make_op("transpose", std::move(out), {a}, [an, n, m](Node* o) {
@@ -380,7 +376,7 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
                "concat_cols: row mismatch: " + sh(a->value) + " vs " +
                    sh(b->value));
   const int n = a->value.rows, da = a->value.cols, db = b->value.cols;
-  Mat out = plan::out_mat(n, da + db, {a.get(), b.get()});
+  Mat out(n, da + db);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < da; ++j) out.at(i, j) = a->value.at(i, j);
     for (int j = 0; j < db; ++j) out.at(i, da + j) = b->value.at(i, j);
@@ -414,7 +410,7 @@ Tensor concat_rows(const std::vector<Tensor>& parts) {
                      std::to_string(d) + " cols)");
     total += p->value.rows;
   }
-  Mat out = plan::out_mat(total, d, parts);
+  Mat out(total, d);
   int row = 0;
   for (const Tensor& p : parts) {
     std::copy(p->value.v.begin(), p->value.v.end(),
@@ -446,7 +442,7 @@ Tensor slice_rows(const Tensor& a, int start, int count) {
                    std::to_string(start + count) + ") outside " +
                    sh(a->value));
   const int d = a->value.cols;
-  Mat out = plan::out_mat(count, d, {a.get()});
+  Mat out(count, d);
   for (int i = 0; i < count; ++i) {
     for (int j = 0; j < d; ++j) out.at(i, j) = a->value.at(start + i, j);
   }
@@ -462,7 +458,7 @@ Tensor slice_rows(const Tensor& a, int start, int count) {
 
 Tensor mean_rows(const Tensor& a) {
   const int n = a->value.rows, d = a->value.cols;
-  Mat out = plan::out_mat(1, d, {a.get()});
+  Mat out(1, d);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < d; ++j) out.at(0, j) += a->value.at(i, j);
   }
@@ -480,7 +476,7 @@ Tensor mean_rows(const Tensor& a) {
 
 Tensor sum_rows(const Tensor& a) {
   const int n = a->value.rows, d = a->value.cols;
-  Mat out = plan::out_mat(1, d, {a.get()});
+  Mat out(1, d);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < d; ++j) out.at(0, j) += a->value.at(i, j);
   }
@@ -497,7 +493,7 @@ Tensor sum_rows(const Tensor& a) {
 Tensor softmax_rows(const Tensor& a) {
   const int n = a->value.rows, d = a->value.cols;
   const std::size_t row_cost = static_cast<std::size_t>(d);
-  Mat out = plan::out_mat(n, d, {a.get()});
+  Mat out(n, d);
   for_rows(n, row_cost, par::kMinExpOps, [&](int i0, int i1) {
     for (int i = i0; i < i1; ++i) {
       float mx = a->value.at(i, 0);
@@ -533,8 +529,8 @@ Tensor layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   NETTAG_CHECK(gamma->value.cols == d && beta->value.cols == d,
                "layernorm_rows: gamma " + sh(gamma->value) + " / beta " +
                    sh(beta->value) + " do not match input " + sh(a->value));
-  Mat out = plan::out_mat(n, d, {a.get(), gamma.get(), beta.get()});
-  Mat xhat = plan::tmp_mat(n, d);
+  Mat out(n, d);
+  Mat xhat(n, d);
   std::vector<float> inv_sigma(static_cast<std::size_t>(n));
   for_rows(n, static_cast<std::size_t>(d), par::kMinOps, [&](int i0, int i1) {
     for (int i = i0; i < i1; ++i) {
@@ -604,7 +600,7 @@ Tensor layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
 
 Tensor embedding(const Tensor& table, const std::vector<int>& ids) {
   const int d = table->value.cols;
-  Mat out = plan::out_mat(static_cast<int>(ids.size()), d, {table.get()});
+  Mat out(static_cast<int>(ids.size()), d);
   parallel_for(ids.size(), par::grain(static_cast<std::size_t>(d), par::kMinOps),
                [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
@@ -632,7 +628,7 @@ Tensor embedding(const Tensor& table, const std::vector<int>& ids) {
 
 Tensor normalize_rows(const Tensor& a, float eps) {
   const int n = a->value.rows, d = a->value.cols;
-  Mat out = plan::out_mat(n, d, {a.get()});
+  Mat out(n, d);
   std::vector<float> norms(static_cast<std::size_t>(n));
   const std::size_t row_cost = static_cast<std::size_t>(d) * 3;
   for_rows(n, row_cost, par::kMinOps, [&](int b, int e) {
@@ -668,7 +664,7 @@ Tensor normalize_rows(const Tensor& a, float eps) {
 
 Tensor dropout(const Tensor& a, float p, bool train, Rng& rng) {
   if (!train || p <= 0.f) return a;
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   std::vector<float> mask(out.v.size());
   const float keep = 1.f - p;
   for (std::size_t i = 0; i < out.v.size(); ++i) {
@@ -690,7 +686,7 @@ Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets) {
   NETTAG_CHECK(static_cast<int>(targets.size()) == n,
                "cross_entropy: " + std::to_string(targets.size()) +
                    " targets for logits " + sh(logits->value));
-  Mat probs = plan::tmp_mat(n, c);
+  Mat probs(n, c);
   // Per-row terms in parallel; the final reduction stays a serial loop in row
   // order so the loss matches the serial float-addition sequence exactly.
   std::vector<double> row_loss(static_cast<std::size_t>(n));
@@ -712,7 +708,7 @@ Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets) {
   });
   double loss = 0.0;
   for (int i = 0; i < n; ++i) loss += row_loss[static_cast<std::size_t>(i)];
-  Mat out = plan::out_mat(1, 1, {logits.get()});
+  Mat out(1, 1);
   out.v[0] = static_cast<float>(loss / n);
   Node* ln = logits.get();
   return make_op("cross_entropy", std::move(out), {logits},
@@ -744,7 +740,7 @@ Tensor mse_loss(const Tensor& pred, const Mat& target) {
     const double d = pred->value.v[i] - target.v[i];
     sum += d * d;
   }
-  Mat out = plan::out_mat(1, 1, {pred.get()});
+  Mat out(1, 1);
   out.v[0] = static_cast<float>(sum / static_cast<double>(target.v.size()));
   Node* pn = pred.get();
   return make_op("mse_loss", std::move(out), {pred}, [pn, target](Node* o) {
@@ -779,9 +775,6 @@ namespace {
 /// Runs the backward sweep from `root`, assuming root->grad is already
 /// seeded. Topological order via iterative DFS over parents.
 void run_backward(Node* root) {
-  // Tape hook: records this sweep's root (recording) or verifies it against
-  // the tape (replay) before any closure can read a planned buffer.
-  plan::on_backward_begin(root);
   std::vector<Node*> order;
   std::unordered_set<Node*> visited;
   std::vector<std::pair<Node*, std::size_t>> stack{{root, 0}};
@@ -803,8 +796,8 @@ void run_backward(Node* root) {
   // `order` is post-order (parents first); traverse in reverse.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     if ((*it)->backward_fn) {
+      (*it)->ensure_grad();
       (*it)->backward_fn();
-      plan::on_backward_exec(*it);
     }
   }
   // Deep-mode NaN/Inf sweep over every gradient produced by this pass,

@@ -22,15 +22,11 @@
 #include <vector>
 
 #include "analysis/check.hpp"
-#include "nn/arena.hpp"
 #include "util/rng.hpp"
 
 namespace nettag {
 
-/// Plain dense matrix (row-major). Element storage is a PlanAlloc vector
-/// (nn/arena.hpp): identical to std::vector<float> behaviour everywhere,
-/// except that the memory planner can serve planned buffers from a reusable
-/// arena slab instead of the heap.
+/// Plain dense matrix (row-major), stored in a heap std::vector<float>.
 struct Mat {
   /// Dimension cap so rows*cols can never wrap std::size_t (and is rejected
   /// long before a bogus multi-terabyte vector allocation is attempted).
@@ -38,7 +34,7 @@ struct Mat {
 
   int rows = 0;
   int cols = 0;
-  plan::FloatVec v;
+  std::vector<float> v;
 
   Mat() = default;
   Mat(int r, int c) : rows(r), cols(c) {
@@ -66,7 +62,9 @@ struct PackedMat;  // nn/packed.hpp — int8 serve-time copy of a weight matrix
 class Node {
  public:
   Mat value;
-  Mat grad;                       ///< same shape as value (lazily allocated)
+  /// Same shape as value. Trainable leaves allocate it at construction; op
+  /// outputs allocate it on the first backward write (ensure_grad).
+  Mat grad;
   const char* op = "leaf";        ///< producing op name (diagnostics only)
   bool requires_grad = false;
   std::vector<Tensor> parents;
@@ -75,9 +73,6 @@ class Node {
   /// (pack_model_weights); when set, matmul uses it for the forward product.
   /// Training never sets this, so fp32 results and resume stay untouched.
   std::shared_ptr<const PackedMat> packed;
-  /// Tape slot assigned by the active plan scope (nn/tape.hpp); -1 for
-  /// leaves and nodes built outside a scope. Reset when the scope ends.
-  int plan_slot = -1;
 
   explicit Node(Mat v, bool rg = false) : value(std::move(v)), requires_grad(rg) {
     if (requires_grad) grad = Mat(value.rows, value.cols);

@@ -20,7 +20,7 @@ namespace nettag::serve {
 
 struct AdmissionConfig {
   /// Netlists above this many gates get kTooLarge.
-  std::size_t max_gates = 20000;
+  std::size_t max_gates = kDefaultMaxGates;
   /// Strict admission: reject on lint *warnings* too (errors always reject).
   bool reject_warnings = false;
   /// Admission lint options (rule toggles, fanout bound).

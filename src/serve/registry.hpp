@@ -9,9 +9,7 @@
 //     attached to every later load, with each replica's keys salted by its
 //     weights CRC so replicas of the same checkpoint share entries while
 //     different weights can never replay each other's rows;
-//   * the process thread pool and the per-shape-signature memory plans
-//     (plans depend on tensor shapes only, never on weights, so replicas
-//     with equal architecture reuse them safely).
+//   * the process thread pool.
 //
 // Requests pin a ReplicaSnapshot: reload/unload swap the registry's state
 // but never the model an in-flight request computes with, so reloading or

@@ -5,7 +5,6 @@
 
 #include "analysis/diagnostic.hpp"
 #include "nn/gemm.hpp"
-#include "nn/tape.hpp"
 #include "serve/canonical.hpp"
 #include "util/checksum.hpp"
 #include "util/timer.hpp"
@@ -160,20 +159,6 @@ std::string Server::stats_json() const {
              total > 0 ? static_cast<double>(tc.hits()) / total : 0.0);
     j.set("text_cache", std::move(text));
   }
-  const plan::Stats ps = plan::stats_snapshot();
-  Json mp = Json::object();
-  mp.set("enabled", ps.enabled);
-  mp.set("tapes_recorded", static_cast<double>(ps.tapes_recorded));
-  mp.set("plans_installed", static_cast<double>(ps.plans_installed));
-  mp.set("verifier_rejects", static_cast<double>(ps.verifier_rejects));
-  mp.set("replays", static_cast<double>(ps.replays));
-  mp.set("divergences", static_cast<double>(ps.divergences));
-  mp.set("buffers_planned", static_cast<double>(ps.buffers_planned));
-  mp.set("buffers_coalesced", static_cast<double>(ps.buffers_coalesced));
-  mp.set("mallocs_avoided", static_cast<double>(ps.mallocs_avoided));
-  mp.set("heap_mat_allocs", static_cast<double>(ps.heap_mat_allocs));
-  mp.set("slab_bytes", static_cast<double>(ps.slab_bytes));
-  j.set("memory_plan", std::move(mp));
   Json models = Json::array();
   for (const ReplicaInfo& info : registry_.list()) {
     models.push_back(replica_info_json(info));

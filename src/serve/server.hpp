@@ -45,7 +45,7 @@ namespace nettag::serve {
 
 struct ServerConfig {
   /// Admission bound: netlists above this many gates get kTooLarge.
-  std::size_t max_gates = 20000;
+  std::size_t max_gates = kDefaultMaxGates;
   /// Result cache bound (entries; each entry is one rendered result).
   std::size_t cache_entries = 256;
   /// Largest request group one batch may take.

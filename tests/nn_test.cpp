@@ -1,10 +1,13 @@
 // Autograd correctness: finite-difference gradient checks for every op,
-// plus end-to-end training sanity (XOR learning, InfoNCE convergence).
+// Mat dimension hardening, ensure_grad zeroing on reallocation, plus
+// end-to-end training sanity (XOR learning, InfoNCE convergence).
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <functional>
 
+#include "analysis/check.hpp"
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
 
@@ -165,6 +168,39 @@ TEST(Autograd, SharedNodeGradAccumulates) {
   // f = sum(a*a + a) — a appears twice; grads must accumulate once each.
   Tensor a = rand_param(2, 2, 23);
   gradcheck([&] { return to_scalar(add(mul(a, a), a)); }, {a});
+
+  // Diamond: tanh feeds relu and sigmoid, whose paths reconverge in a mul
+  // with the tanh output itself. Fixed inputs keep relu off its kink.
+  Tensor x = make_tensor(Mat(2, 4), true);
+  for (std::size_t i = 0; i < x->value.v.size(); ++i) {
+    x->value.v[i] = 0.25f * static_cast<float>(i) - 0.8f;
+  }
+  gradcheck(
+      [&] {
+        Tensor t = tanh_op(x);
+        return to_scalar(mul(add(relu(t), sigmoid(t)), t));
+      },
+      {x});
+
+  // Repeated parent: both row blocks of concat_rows({y, y}) accumulate into
+  // y's single gradient buffer.
+  Tensor y = rand_param(2, 3, 24);
+  Tensor w = rand_param(3, 2, 25);
+  gradcheck([&] { return to_scalar(matmul(concat_rows({y, y}), w)); }, {y, w});
+}
+
+TEST(Autograd, OpOutputGradientAllocatedByBackward) {
+  // A forward that never runs backward (a serve embed) must not pay for
+  // gradient buffers: op outputs get one on the first backward write.
+  Tensor a = rand_param(2, 3, 26);
+  Tensor h = relu(a);
+  Tensor loss = to_scalar(h);
+  EXPECT_TRUE(h->grad.v.empty());
+  EXPECT_TRUE(loss->grad.v.empty());
+  backward(loss);
+  EXPECT_EQ(h->grad.rows, 2);
+  EXPECT_EQ(h->grad.cols, 3);
+  EXPECT_EQ(a->grad.v.size(), 6u);
 }
 
 TEST(Autograd, DropoutEvalIsIdentity) {
@@ -184,6 +220,65 @@ TEST(Autograd, DropoutTrainScales) {
   for (float x : out->value.v) sum += x;
   // Inverted dropout keeps the expectation ~ 1000.
   EXPECT_NEAR(sum / 1000.0, 1.0, 0.15);
+}
+
+// --- Mat dimension hardening -------------------------------------------------
+
+TEST(MatHardening, NegativeDimensionsThrow) {
+  EXPECT_THROW(Mat(-1, 4), CheckError);
+  EXPECT_THROW(Mat(4, -1), CheckError);
+  EXPECT_THROW(Mat(-3, -3), CheckError);
+}
+
+TEST(MatHardening, RowsTimesColsOverflowThrows) {
+  // INT_MAX * INT_MAX ~ 4.6e18 elements: far beyond the element cap, and
+  // without the guarded multiply it wraps std::size_t arithmetic paths.
+  EXPECT_THROW(Mat(INT_MAX, INT_MAX), CheckError);
+  // ~1.2e12 elements: each factor is individually fine, the product is not.
+  EXPECT_THROW(Mat(1'100'000, 1'100'000), CheckError);
+}
+
+TEST(MatHardening, ZeroAndModestShapesAllowed) {
+  EXPECT_NO_THROW(Mat(0, INT_MAX));
+  EXPECT_NO_THROW(Mat(INT_MAX, 0));
+  Mat m(3, 5);
+  EXPECT_EQ(m.size(), 15u);
+}
+
+// --- ensure_grad must zero on shape-mismatch realloc -------------------------
+
+TEST(EnsureGrad, ZeroesOnShapeMismatchRealloc) {
+  Tensor t = make_tensor(Mat(2, 3), true);
+  ASSERT_EQ(t->grad.rows, 2);
+  for (auto& g : t->grad.v) g = 42.f;
+  t->value = Mat(3, 2);  // reshaped mid-graph
+  t->ensure_grad();
+  ASSERT_EQ(t->grad.rows, 3);
+  ASSERT_EQ(t->grad.cols, 2);
+  for (const float g : t->grad.v) EXPECT_EQ(g, 0.f);
+}
+
+TEST(EnsureGrad, NoStaleGradientAcrossReshapedSteps) {
+  // Step 1: accumulate a nonzero gradient into x at shape 1x2.
+  Tensor x = make_tensor(Mat(1, 2), true);
+  x->value.at(0, 0) = 1.f;
+  x->value.at(0, 1) = 2.f;
+  auto scalar_loss = [](const Tensor& t) {
+    return sum_rows(transpose(sum_rows(t)));  // NxD -> 1x1
+  };
+  backward(scalar_loss(mul(x, x)));
+  ASSERT_NE(x->grad.at(0, 0), 0.f);
+
+  // Step 2: reshape the same leaf and rerun. The fresh gradient must equal
+  // the one computed on a brand-new node — no bytes from step 1 may leak.
+  x->value = Mat(2, 2);
+  for (int i = 0; i < 4; ++i) x->value.v[static_cast<std::size_t>(i)] = 1.f + i;
+  x->ensure_grad();
+  backward(scalar_loss(mul(x, x)));
+
+  Tensor fresh = make_tensor(x->value, true);
+  backward(scalar_loss(mul(fresh, fresh)));
+  ASSERT_EQ(x->grad.v, fresh->grad.v);
 }
 
 TEST(Layers, ShapesAndParamCounts) {

@@ -16,6 +16,7 @@
 #include "core/nettag.hpp"
 #include "netlist/io.hpp"
 #include "nn/gemm.hpp"
+#include "serve/admission.hpp"
 #include "serve/cache.hpp"
 #include "serve/canonical.hpp"
 #include "serve/json.hpp"
@@ -497,6 +498,44 @@ TEST(Server, ErrorTaxonomyNeverThrows) {
   pr.task = "unregistered";
   EXPECT_EQ(strict->submit(std::move(pr)).error, ErrorCode::kUnknownTask);
   EXPECT_EQ(strict->cache().stats().misses, 0u);
+}
+
+/// A `gates`-node netlist (one port, then an INV chain ending in an output).
+std::string inv_chain(std::size_t gates) {
+  std::string text = "module chain source synthetic\nport n0\n";
+  for (std::size_t i = 1; i < gates; ++i) {
+    text += "gate INV n" + std::to_string(i) + " n" + std::to_string(i - 1) +
+            (i + 1 == gates ? " out\n" : "\n");
+  }
+  return text + "endmodule\n";
+}
+
+TEST(Admission, DefaultMaxGatesBoundsWholeNetlists) {
+  // One constant sets the bound for both the admission gate and the server.
+  EXPECT_EQ(serve::AdmissionConfig{}.max_gates, serve::kDefaultMaxGates);
+  EXPECT_EQ(ServerConfig{}.max_gates, serve::kDefaultMaxGates);
+  EXPECT_EQ(serve::kDefaultMaxGates, 4096u);
+
+  serve::ServeMetrics metrics;
+  const serve::Admission admission(serve::AdmissionConfig{}, &metrics);
+  const std::string at_cap_text = inv_chain(serve::kDefaultMaxGates);
+  const std::string over_text = inv_chain(serve::kDefaultMaxGates + 1);
+  Request at_cap = embed_request(at_cap_text.c_str());
+  Netlist local;
+  Response ok;
+  const Netlist* admitted = admission.admit(at_cap, &local, &ok);
+  ASSERT_NE(admitted, nullptr) << ok.error_message;
+  EXPECT_EQ(admitted->size(), serve::kDefaultMaxGates);
+
+  Request over = embed_request(over_text.c_str());
+  Response rejected;
+  EXPECT_EQ(admission.admit(over, &local, &rejected), nullptr);
+  EXPECT_EQ(rejected.error, ErrorCode::kTooLarge);
+
+  // The server's default config rejects it too, before any model work.
+  auto server = make_server(ServerConfig{});
+  EXPECT_EQ(server->submit(embed_request(over_text.c_str())).error,
+            ErrorCode::kTooLarge);
 }
 
 TEST(Server, LenientModeAdmitsWarnings) {
@@ -1261,7 +1300,8 @@ TEST(Server, StatsReportPerReplicaSectionAndDefaults) {
   ASSERT_NE(defaults, nullptr);
   EXPECT_EQ(defaults->find("max_cone_gates")->as_int(),
             static_cast<std::int64_t>(serve::kDefaultMaxConeGates));
-  EXPECT_EQ(defaults->find("max_gates")->as_int(), 20000);
+  EXPECT_EQ(defaults->find("max_gates")->as_int(),
+            static_cast<std::int64_t>(serve::kDefaultMaxGates));
   EXPECT_EQ(defaults->find("quantize")->as_bool(), false);
   EXPECT_EQ(j.find("weights_crc32"), nullptr);
   EXPECT_EQ(j.find("backend"), nullptr);

@@ -15,11 +15,6 @@
 //                                      the full corpus rules shard by shard
 //                                      (one shard in RAM at a time)
 //   nettag_lint --rules                print the rule catalog and exit
-//   nettag_lint --tape                 record one training step per shipped
-//                                      model config, dump the autograd tapes
-//                                      with live ranges and arena offsets,
-//                                      and fail unless every memory plan
-//                                      passes the independent verifier
 //
 // Flags:
 //   --json           machine-readable report on stdout
@@ -46,14 +41,8 @@
 #include "core/corpus_stream.hpp"
 #include "core/dataset.hpp"
 #include "core/tag.hpp"
-#include "model/graph.hpp"
-#include "model/tagformer.hpp"
-#include "model/text_encoder.hpp"
 #include "netlist/io.hpp"
-#include "nn/liveness.hpp"
-#include "nn/tape.hpp"
 #include "util/cli.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace fs = std::filesystem;
@@ -68,8 +57,7 @@ void usage(std::FILE* to) {
                "       nettag_lint [--json] [--deep] --generate DIR\n"
                "                   [--designs N] [--seed S] [--no-physical]\n"
                "       nettag_lint [--json] [--deep] --shards DIR\n"
-               "       nettag_lint --rules\n"
-               "       nettag_lint --tape\n");
+               "       nettag_lint --rules\n");
 }
 
 void print_rules() {
@@ -208,126 +196,11 @@ LintReport lint_shards(const fs::path& dir, const LintOptions& opts) {
   return report;
 }
 
-// ---------------------------------------------------------------------------
-// --tape: static audit of the autograd memory planner.
-//
-// Runs one representative training step (record) plus one replay for every
-// shipped model configuration, then dumps each recorded tape with its live
-// ranges, arena offsets, and independent verifier verdict. Exit 0 iff every
-// signature ends up with a verified, installed plan and no replay diverged.
-// ---------------------------------------------------------------------------
-
-void dump_tape_report(const plan::TapeReport& r) {
-  std::printf("signature %-24s state=%s verifier=%s\n", r.signature.c_str(),
-              r.state.c_str(), r.verifier_ok ? "ok" : r.verifier_verdict.c_str());
-  if (!r.plan) return;
-  std::printf("  slab=%zu bytes  align=%zu  planned=%zu  coalesced=%zu  "
-              "bwd_events=%zu\n",
-              r.plan->slab_bytes, r.plan->alignment, r.plan->buffers_planned,
-              r.plan->buffers_coalesced, r.tape.bwd_order.size());
-  const plan::LivenessResult live = plan::analyze_liveness(r.tape);
-  auto offset_str = [](std::size_t off) {
-    return off == plan::kHeapSlot ? std::string("heap") : std::to_string(off);
-  };
-  for (std::size_t i = 0; i < r.tape.entries.size(); ++i) {
-    const plan::TapeEntry& e = r.tape.entries[i];
-    const plan::MemPlan::Slots& s = r.plan->per_entry[i];
-    std::string parents;
-    for (const int p : e.parents) {
-      if (!parents.empty()) parents += ",";
-      parents += std::to_string(p);
-    }
-    std::printf("  [%3zu] %-14s %4dx%-4d par=[%s] value@%s live[%ld,%ld]",
-                i, e.op.c_str(), e.rows, e.cols, parents.c_str(),
-                offset_str(s.value).c_str(), live.value[i].def,
-                live.value[i].last);
-    if (e.requires_grad) {
-      std::printf("  grad@%s live[%ld,%ld]", offset_str(s.grad).c_str(),
-                  live.grad[i].def, live.grad[i].last);
-    }
-    for (std::size_t k = 0; k < e.temps.size(); ++k) {
-      std::printf("  temp%zu(%dx%d)@%s", k, e.temps[k].first,
-                  e.temps[k].second, offset_str(s.temps[k]).c_str());
-    }
-    std::printf("\n");
-  }
-}
-
-int tape_audit() {
-  // Plans only form on single-thread serial steps; pin the width so the
-  // audit is deterministic regardless of NETTAG_THREADS.
-  ThreadPool::instance().set_width(1);
-  plan::set_planning_enabled(true);
-
-  const std::vector<std::string> anchors = {"(a & b) | (c ^ d)",
-                                            "~(x | y) & (z ^ x)"};
-  const std::vector<std::string> positives = {"(b & a) | (d ^ c)",
-                                              "(x ^ z) & ~(y | x)"};
-  const std::vector<std::pair<std::string, TextEncoderConfig>> tiers = {
-      {"tiny", TextEncoderConfig::tiny()},
-      {"small", TextEncoderConfig::small()},
-      {"base", TextEncoderConfig::base()},
-  };
-  Vocab vocab;
-  for (const auto& [name, cfg] : tiers) {
-    Rng rng(0x5eed);
-    TextEncoder enc(vocab, cfg, rng);
-    for (int pass = 0; pass < 2; ++pass) {  // pass 0 records, pass 1 replays
-      plan::PlanScope scope("lint|enc|" + name);
-      Tensor loss = info_nce(enc.encode_batch(anchors),
-                             enc.encode_batch(positives), 0.1f);
-      backward(loss);
-    }
-  }
-  {
-    // Default TAGFormer (the netlist-side encoder NetTag ships with) on a
-    // small ring graph, trained toward a fixed target.
-    TagFormerConfig tc;
-    tc.in_dim = 8;
-    Rng rng(0x5eed);
-    TagFormer tf(tc, rng);
-    const int n = 6;
-    Mat feats(n, tc.in_dim);
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < tc.in_dim; ++j) {
-        feats.at(i, j) = 0.1f * static_cast<float>((i * 7 + j * 3) % 11);
-      }
-    }
-    std::vector<std::pair<int, int>> edges;
-    for (int i = 0; i < n; ++i) edges.emplace_back(i, (i + 1) % n);
-    const Mat adj = tag_adjacency(n, edges);
-    Mat target(1, tc.out_dim);
-    for (int j = 0; j < tc.out_dim; ++j) target.at(0, j) = 0.01f * static_cast<float>(j);
-    for (int pass = 0; pass < 2; ++pass) {
-      plan::PlanScope scope("lint|tagformer|default");
-      const TagFormer::Output out =
-          tf.forward(make_tensor(feats, false), make_tensor(adj, false));
-      backward(mse_loss(out.cls, target));
-    }
-  }
-
-  bool ok = true;
-  for (const plan::TapeReport& r : plan::tape_reports()) {
-    dump_tape_report(r);
-    if (r.state != "ready" || !r.verifier_ok) ok = false;
-  }
-  const plan::Stats st = plan::stats_snapshot();
-  std::printf(
-      "tape audit: %llu tape(s) recorded, %llu plan(s) installed, "
-      "%llu replay(s), %llu divergence(s), %llu verifier reject(s)\n",
-      st.tapes_recorded, st.plans_installed, st.replays, st.divergences,
-      st.verifier_rejects);
-  if (st.divergences > 0 || st.verifier_rejects > 0) ok = false;
-  if (!ok) std::printf("tape audit: FAILED\n");
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool json = false;
   bool rules_only = false;
-  bool tape_mode = false;
   bool with_physical = true;
   int designs_per_family = 1;
   std::uint64_t seed = 0x5eed;
@@ -362,8 +235,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (!std::strcmp(arg, "--rules")) {
       rules_only = true;
-    } else if (!std::strcmp(arg, "--tape")) {
-      tape_mode = true;
     } else if (!std::strcmp(arg, "--deep")) {
       opts.deep = true;
     } else if (!std::strcmp(arg, "--no-physical")) {
@@ -407,9 +278,6 @@ int main(int argc, char** argv) {
   if (rules_only) {
     print_rules();
     return 0;
-  }
-  if (tape_mode) {
-    return tape_audit();
   }
   if (generate && shards) {
     std::fprintf(stderr, "nettag_lint: --generate and --shards are exclusive\n");

@@ -27,7 +27,8 @@
 //                          defaults to "default" (the replica requests
 //                          without a "model" field target); the backend
 //                          suffix overrides --quantize for that replica
-//   --max-gates N          admission size bound (default 20000)
+//   --max-gates N          admission size bound (default 4096,
+//                          serve::kDefaultMaxGates)
 //   --cache-entries N      result-cache bound (default 256; the daemon splits
 //                          it across shard partitions)
 //   --text-cache-entries N frozen-text-embedding cache bound (default 4096;
