@@ -331,15 +331,13 @@ int main(int argc, char** argv) {
 
   // --- arm 1+2: single client, then the soak, against one shared daemon ---
   {
-    serve::ServerConfig sc;
-    sc.cache_entries = 512;
     const std::size_t shards = 4;
     setup.model->text_cache().set_partitions(shards);
-    serve::Server server(sc, std::move(setup.model));
+    serve::Server server(serve::ServerConfig{}, std::move(setup.model));
     net::DaemonConfig dc;
     dc.shards = shards;
     dc.queue_depth = 64;
-    dc.cache_entries = sc.cache_entries;
+    dc.cache_entries = 512;
     dc.poll_interval_ms = 20;
     std::string error;
     const std::string sock =
@@ -383,13 +381,11 @@ int main(int argc, char** argv) {
 
   // --- arm 3: forced shed on a starved daemon -----------------------------
   {
-    serve::ServerConfig sc;
-    sc.cache_entries = 64;
-    serve::Server server(sc, load_checkpoint(ckpt));
+    serve::Server server(serve::ServerConfig{}, load_checkpoint(ckpt));
     net::DaemonConfig dc;
     dc.shards = 1;
     dc.queue_depth = 1;
-    dc.cache_entries = sc.cache_entries;
+    dc.cache_entries = 64;
     dc.poll_interval_ms = 20;
     std::string error;
     const std::string sock =

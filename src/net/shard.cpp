@@ -1,6 +1,7 @@
 #include "net/shard.hpp"
 
 #include <chrono>
+#include <exception>
 #include <string>
 
 #include "serve/canonical.hpp"
@@ -21,6 +22,25 @@ std::uint64_t fnv1a(const std::string& text) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+/// Seconds since the request entered the server (0 when it carries no
+/// start time).
+double seconds_since_start(const serve::Request& request) {
+  if (request.t_start.time_since_epoch().count() == 0) return 0.0;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       request.t_start)
+      .count();
+}
+
+serve::Response error_response(const serve::Request& request,
+                               serve::ErrorCode code, std::string message) {
+  serve::Response response;
+  response.id = request.id;
+  response.op = request.op;
+  response.error = code;
+  response.error_message = std::move(message);
+  return response;
 }
 
 std::size_t shard_cache_entries(std::size_t total, std::size_t shards) {
@@ -61,12 +81,10 @@ ShardPool::~ShardPool() {
   // belt-and-braces path).
   for (auto& s : shards_) {
     for (Task& task : s->queue) {
-      serve::Response response;
-      response.id = task.request.id;
-      response.op = task.request.op;
-      response.error = serve::ErrorCode::kInternal;
-      response.error_message = "shard pool destroyed with queued requests";
-      if (task.done) task.done(std::move(response));
+      if (task.done) {
+        task.done(error_response(task.request, serve::ErrorCode::kInternal,
+                                 "shard pool destroyed with queued requests"));
+      }
     }
     s->queue.clear();
   }
@@ -119,21 +137,12 @@ void ShardPool::submit(serve::Request request, Done done) {
   // Shed path: answer inline with the structured taxonomy error. Counted as
   // an error request in the server metrics so operators see shed load in
   // the same requests_error / qps numbers as every other failure.
-  serve::Response response;
-  response.id = request.id;
-  response.op = request.op;
-  response.error = serve::ErrorCode::kTooBusy;
-  response.error_message =
-      "shard queue full (depth " + std::to_string(queue_depth_) +
-      "); retry later";
-  const double latency =
-      request.t_start.time_since_epoch().count() == 0
-          ? 0.0
-          : std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          request.t_start)
-                .count();
-  server_.metrics().record_request(false, latency);
-  if (done) done(std::move(response));
+  server_.metrics().record_request(false, seconds_since_start(request));
+  if (done) {
+    done(error_response(request, serve::ErrorCode::kTooBusy,
+                        "shard queue full (depth " +
+                            std::to_string(queue_depth_) + "); retry later"));
+  }
 }
 
 void ShardPool::worker_loop(Shard& shard) {
@@ -151,7 +160,23 @@ void ShardPool::worker_loop(Shard& shard) {
       shard.queue.pop_front();
       shard.in_flight = true;
     }
-    serve::Response response = server_.process_on(task.request, &shard.cache);
+    // An exception escaping the server (a task head that throws) answers
+    // this one request with `internal`, counted as an error request; the
+    // worker, and the daemon, live on.
+    auto internal = [&](std::string message) {
+      server_.metrics().record_request(false,
+                                       seconds_since_start(task.request));
+      return error_response(task.request, serve::ErrorCode::kInternal,
+                            std::move(message));
+    };
+    serve::Response response;
+    try {
+      response = server_.process_on(task.request, shard.cache);
+    } catch (const std::exception& e) {
+      response = internal(e.what());
+    } catch (...) {
+      response = internal("unknown exception");
+    }
     if (task.done) task.done(std::move(response));
     {
       std::lock_guard<std::mutex> lk(shard.mu);
@@ -226,14 +251,7 @@ void ShardPool::append_stats(serve::Json* j) const {
       hist.push_back(static_cast<double>(count));
     }
     shard.set("queue_depth_histogram", std::move(hist));
-    serve::Json cache = serve::Json::object();
-    cache.set("entries", static_cast<double>(s.cache.entries));
-    cache.set("capacity", static_cast<double>(s.cache.capacity));
-    cache.set("hits", static_cast<double>(s.cache.hits));
-    cache.set("misses", static_cast<double>(s.cache.misses));
-    cache.set("evictions", static_cast<double>(s.cache.evictions));
-    cache.set("collisions", static_cast<double>(s.cache.collisions));
-    shard.set("result_cache", std::move(cache));
+    shard.set("result_cache", serve::cache_stats_json(s.cache));
     arr.push_back(std::move(shard));
   }
   j->set("shards", std::move(arr));

@@ -1,5 +1,7 @@
-// Sharded request execution for the NetTAG-Serve daemon
-// (docs/ARCHITECTURE.md §11.3).
+// Sharded request execution for NetTAG-Serve (docs/ARCHITECTURE.md §11.3):
+// the one dispatch path from a transport to Server::process_on. The socket
+// daemon runs N shards; the stdin loop of tools/nettag_serve runs one and
+// waits for each response before reading the next line.
 //
 // N worker shards, each owning:
 //   * one bounded FIFO queue — the backpressure point. A netlist op arriving
@@ -17,9 +19,10 @@
 //
 // Shard workers call Server::process_on synchronously: inter-request
 // parallelism comes from running S shards concurrently, not from batching
-// one request across the pool. The transport thread (net/daemon) parses each
-// netlist once for routing and passes the parse along via
-// Request::pre_parsed, so admission work is not repeated.
+// one request across the pool. An exception escaping process_on becomes an
+// `internal` response for that request alone. The daemon's transport thread
+// (net/daemon) parses each netlist once for routing and passes the parse
+// along via Request::pre_parsed, so admission work is not repeated.
 #pragma once
 
 #include <atomic>

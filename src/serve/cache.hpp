@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 
+#include "serve/json.hpp"
 #include "util/lru.hpp"
 
 namespace nettag::serve {
@@ -83,5 +84,18 @@ class ResultCache {
   LruMap<std::string, Entry> map_;
   std::uint64_t hits_ = 0, misses_ = 0, evictions_ = 0, collisions_ = 0;
 };
+
+/// The `stats` JSON object for one cache partition.
+inline Json cache_stats_json(const ResultCache::Stats& s) {
+  Json j = Json::object();
+  j.set("entries", static_cast<double>(s.entries));
+  j.set("capacity", static_cast<double>(s.capacity));
+  j.set("hits", static_cast<double>(s.hits));
+  j.set("misses", static_cast<double>(s.misses));
+  j.set("evictions", static_cast<double>(s.evictions));
+  j.set("collisions", static_cast<double>(s.collisions));
+  j.set("hit_rate", s.hit_rate());
+  return j;
+}
 
 }  // namespace nettag::serve

@@ -32,13 +32,6 @@ void ServeMetrics::record_request(bool ok, double latency_seconds) {
   max_latency_ = std::max(max_latency_, latency_seconds);
 }
 
-void ServeMetrics::record_batch(std::size_t size) {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++batches_;
-  if (batch_hist_.size() <= size) batch_hist_.resize(size + 1, 0);
-  ++batch_hist_[size];
-}
-
 void ServeMetrics::record_stage(Stage stage, double seconds) {
   std::lock_guard<std::mutex> lk(mu_);
   stage_seconds_[static_cast<int>(stage)] += seconds;
@@ -69,10 +62,6 @@ ServeMetrics::Snapshot ServeMetrics::snapshot() const {
     s.p99_ms = pct(0.99);
     s.max_ms = max_latency_ * 1e3;
   }
-  s.batches = batches_;
-  for (std::size_t size = 0; size < batch_hist_.size(); ++size) {
-    if (batch_hist_[size]) s.batch_histogram.emplace_back(size, batch_hist_[size]);
-  }
   for (int i = 0; i < kNumStages; ++i) s.stage_seconds[i] = stage_seconds_[i];
   return s;
 }
@@ -90,12 +79,6 @@ Json snapshot_to_json(const ServeMetrics::Snapshot& snapshot) {
   latency.set("p99", snapshot.p99_ms);
   latency.set("max", snapshot.max_ms);
   j.set("latency_ms", std::move(latency));
-  j.set("batches", static_cast<double>(snapshot.batches));
-  Json hist = Json::object();
-  for (const auto& [size, count] : snapshot.batch_histogram) {
-    hist.set(std::to_string(size), static_cast<double>(count));
-  }
-  j.set("batch_size_histogram", std::move(hist));
   Json stages = Json::object();
   for (int i = 0; i < kNumStages; ++i) {
     stages.set(stage_name(static_cast<Stage>(i)), snapshot.stage_seconds[i]);

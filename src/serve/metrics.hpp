@@ -1,7 +1,7 @@
 // Live serving metrics behind the `stats` request (docs/ARCHITECTURE.md
-// §7.4): QPS, latency percentiles, batch-size histogram, and per-stage CPU
-// time. Everything is recorded under one short-held mutex — the recording
-// paths are a few arithmetic ops, far below the model work they annotate.
+// §7.4): QPS, latency percentiles and per-stage CPU time. Everything is
+// recorded under one short-held mutex — the recording paths are a few
+// arithmetic ops, far below the model work they annotate.
 //
 // Latency percentiles come from a bounded ring of the most recent
 // completions (p50/p99 of "recent" traffic is what an operator watches; an
@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "serve/json.hpp"
@@ -33,7 +32,6 @@ class ServeMetrics {
   ServeMetrics() : start_(std::chrono::steady_clock::now()) {}
 
   void record_request(bool ok, double latency_seconds);
-  void record_batch(std::size_t size);
   void record_stage(Stage stage, double seconds);
 
   struct Snapshot {
@@ -43,9 +41,6 @@ class ServeMetrics {
     std::uint64_t requests_error = 0;
     double qps = 0;          ///< requests_total / uptime
     double p50_ms = 0, p90_ms = 0, p99_ms = 0, max_ms = 0;
-    std::uint64_t batches = 0;
-    /// (batch size, occurrence count), ascending by size.
-    std::vector<std::pair<std::size_t, std::uint64_t>> batch_histogram;
     double stage_seconds[kNumStages] = {0, 0, 0, 0, 0};
   };
 
@@ -54,16 +49,15 @@ class ServeMetrics {
  private:
   const std::chrono::steady_clock::time_point start_;
   mutable std::mutex mu_;
-  std::uint64_t total_ = 0, ok_ = 0, errors_ = 0, batches_ = 0;
+  std::uint64_t total_ = 0, ok_ = 0, errors_ = 0;
   std::vector<double> latency_ring_;  ///< seconds, ring of kLatencyWindow
   std::size_t ring_next_ = 0;
   double max_latency_ = 0;
-  std::vector<std::uint64_t> batch_hist_;  ///< index = batch size
   double stage_seconds_[kNumStages] = {0, 0, 0, 0, 0};
 };
 
-/// Snapshot -> the `stats` result object (minus cache sections, which the
-/// server appends from its caches).
+/// Snapshot -> the `stats` result object (minus the cache, registry and
+/// shard sections, which the server and its stats extension append).
 Json snapshot_to_json(const ServeMetrics::Snapshot& snapshot);
 
 }  // namespace nettag::serve

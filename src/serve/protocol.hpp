@@ -166,7 +166,7 @@ struct Response {
 };
 
 /// Parses one NDJSON line. Never fails hard: malformed lines come back with
-/// op == kInvalid and parse_error/parse_message set, so the uniform batching
+/// op == kInvalid and parse_error/parse_message set, so the one dispatch
 /// path also carries the error responses.
 Request parse_request(const std::string& line);
 

@@ -18,18 +18,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-Json cache_stats_json(const ResultCache::Stats& s) {
-  Json j = Json::object();
-  j.set("entries", static_cast<double>(s.entries));
-  j.set("capacity", static_cast<double>(s.capacity));
-  j.set("hits", static_cast<double>(s.hits));
-  j.set("misses", static_cast<double>(s.misses));
-  j.set("evictions", static_cast<double>(s.evictions));
-  j.set("collisions", static_cast<double>(s.collisions));
-  j.set("hit_rate", s.hit_rate());
-  return j;
-}
-
 const char* backend_name(bool quantize) { return quantize ? "int8" : "fp32"; }
 
 Json replica_info_json(const ReplicaInfo& info) {
@@ -67,14 +55,9 @@ Server::Server(ServerConfig config)
     : config_(std::move(config)),
       admission_(AdmissionConfig{config_.max_gates, config_.reject_warnings,
                                  config_.lint},
-                 &metrics_),
-      cache_(config_.cache_entries) {
+                 &metrics_) {
   registry_.set_cache_layout(config_.text_cache_entries,
                              config_.text_cache_partitions);
-  batcher_ = std::make_unique<Batcher>(
-      [this](const Request& request) { return process(request); },
-      config_.max_batch,
-      [this](std::size_t size) { metrics_.record_batch(size); });
 }
 
 Server::Server(ServerConfig config, std::unique_ptr<NetTag> model)
@@ -107,23 +90,6 @@ void Server::register_task(const std::string& name, TaskFn fn) {
   tasks_[name] = std::move(fn);
 }
 
-std::future<Response> Server::submit_async(Request request) {
-  if (request.t_start == std::chrono::steady_clock::time_point{}) {
-    request.t_start = std::chrono::steady_clock::now();
-  }
-  return batcher_->submit(std::move(request));
-}
-
-std::future<Response> Server::submit_line_async(const std::string& line) {
-  Request request = parse_request(line);
-  request.t_start = std::chrono::steady_clock::now();
-  return submit_async(std::move(request));
-}
-
-std::string Server::handle_line(const std::string& line) {
-  return render_response(submit_line_async(line).get());
-}
-
 bool Server::shutdown_requested() const {
   return shutdown_.load(std::memory_order_relaxed);
 }
@@ -135,7 +101,6 @@ void Server::set_stats_extension(StatsExtension fn) {
 
 std::string Server::stats_json() const {
   Json j = snapshot_to_json(metrics_.snapshot());
-  j.set("result_cache", cache_stats_json(cache_.stats()));
   j.set("reloads", static_cast<double>(registry_.total_reloads()));
   // The v1 top-level fields reflect the "default" replica (byte-compatible
   // with the single-model server); the "models" array covers every replica.
@@ -169,7 +134,6 @@ std::string Server::stats_json() const {
   Json defaults = Json::object();
   defaults.set("max_gates", static_cast<double>(config_.max_gates));
   defaults.set("max_cone_gates", static_cast<double>(config_.max_cone_gates));
-  defaults.set("max_batch", static_cast<double>(config_.max_batch));
   defaults.set("reject_warnings", config_.reject_warnings);
   defaults.set("quantize", config_.quantize);
   j.set("defaults", std::move(defaults));
@@ -180,11 +144,11 @@ std::string Server::stats_json() const {
   return j.dump();
 }
 
-Response Server::process(const Request& request) {
-  return process_on(request, &cache_);
-}
-
-Response Server::process_on(const Request& request, ResultCache* cache) {
+Response Server::process_on(const Request& request, ResultCache& cache) {
+  const auto t_start =
+      request.t_start == std::chrono::steady_clock::time_point{}
+          ? std::chrono::steady_clock::now()
+          : request.t_start;
   Response response;
   response.id = request.id;
   response.op = request.op;
@@ -194,7 +158,7 @@ Response Server::process_on(const Request& request, ResultCache* cache) {
   if (request.parse_error != ErrorCode::kNone) {
     response.error = request.parse_error;
     response.error_message = request.parse_message;
-    metrics_.record_request(false, seconds_since(request.t_start));
+    metrics_.record_request(false, seconds_since(t_start));
     return response;
   }
   switch (request.op) {
@@ -231,11 +195,11 @@ Response Server::process_on(const Request& request, ResultCache* cache) {
         response = unknown_model_response(request);
         break;
       }
-      response = process_netlist_op(request, replica, cache ? cache : &cache_);
+      response = process_netlist_op(request, replica, cache);
       break;
     }
   }
-  metrics_.record_request(response.ok(), seconds_since(request.t_start));
+  metrics_.record_request(response.ok(), seconds_since(t_start));
   return response;
 }
 
@@ -307,7 +271,7 @@ Response Server::process_model_admin(const Request& request) {
 
 Response Server::process_netlist_op(const Request& request,
                                     const ReplicaSnapshot& replica,
-                                    ResultCache* cache) {
+                                    ResultCache& cache) {
   Response response;
   response.id = request.id;
   response.op = request.op;
@@ -356,7 +320,7 @@ Response Server::process_netlist_op(const Request& request,
                 /*per_node_output=*/request.op == Op::kEmbedGates);
   key.key += replica.cache_tag();
   std::string payload;
-  if (cache->lookup(key.key, key.fingerprint, &payload)) {
+  if (cache.lookup(key.key, key.fingerprint, &payload)) {
     replica.counters->cache_hits.fetch_add(1, std::memory_order_relaxed);
     response.result_json = std::move(payload);
     response.cached = true;
@@ -413,7 +377,7 @@ Response Server::process_netlist_op(const Request& request,
   metrics_.record_stage(Stage::kTagFormer,
                         timing.tagformer.load(std::memory_order_relaxed));
 
-  cache->insert(key.key, key.fingerprint, payload);
+  cache.insert(key.key, key.fingerprint, payload);
   response.result_json = std::move(payload);
   response.cached = false;
   return response;

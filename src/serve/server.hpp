@@ -1,6 +1,6 @@
 // NetTAG-Serve: the inference server (docs/ARCHITECTURE.md §7, §12).
 //
-// Dispatches requests over a registry of named NetTag replicas through four
+// Dispatches requests over a registry of named NetTag replicas through three
 // coordinated pieces:
 //   * registry  — N independently hot-reloadable models behind one process
 //     (serve/registry.hpp); every request pins a replica snapshot, so
@@ -8,24 +8,23 @@
 //   * admission — parse + size bound + src/analysis lint gate
 //     (serve/admission.hpp); rejected inputs become structured error
 //     responses, never crashes;
-//   * batching  — concurrent requests group into one thread-pool region
-//     (serve/batcher.hpp);
 //   * caching   — a bounded content-addressed result cache keyed by the
 //     canonical structural hash (serve/canonical.hpp) namespaced per
 //     replica+weights+backend, so isomorphic resubmissions replay
 //     byte-identical results without model work and replicas never replay
-//     each other's entries.
+//     each other's entries. The caller owns the cache: each process_on
+//     call names the ResultCache partition it runs against.
 //
-// The same object backs both transports: the in-process C++ client API
-// (submit / submit_async, used by tests and benches) and the NDJSON
-// stdin/stdout loop of tools/nettag_serve (submit_line_async +
-// render_response).
+// Requests reach the server through one synchronous entry point,
+// process_on. Both transports of tools/nettag_serve — the NDJSON
+// stdin/stdout loop and the socket daemon — call it from the shard workers
+// of a net::ShardPool (one shard for stdin, N for the daemon), each worker
+// with its own cache partition.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,7 +34,6 @@
 #include "analysis/lint.hpp"
 #include "core/nettag.hpp"
 #include "serve/admission.hpp"
-#include "serve/batcher.hpp"
 #include "serve/cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
@@ -46,10 +44,6 @@ namespace nettag::serve {
 struct ServerConfig {
   /// Admission bound: netlists above this many gates get kTooLarge.
   std::size_t max_gates = kDefaultMaxGates;
-  /// Result cache bound (entries; each entry is one rendered result).
-  std::size_t cache_entries = 256;
-  /// Largest request group one batch may take.
-  std::size_t max_batch = 32;
   /// Strict admission: reject on lint *warnings* too (errors always reject).
   bool reject_warnings = false;
   /// Admission lint options (rule toggles, fanout bound).
@@ -122,31 +116,23 @@ class Server {
       std::function<std::vector<double>(const NetTag&, const Netlist&)>;
   void register_task(const std::string& name, TaskFn fn);
 
-  // --- in-process client API ----------------------------------------------
-  std::future<Response> submit_async(Request request);
-  Response submit(Request request) { return submit_async(std::move(request)).get(); }
-
-  // --- wire API (NDJSON lines) --------------------------------------------
-  /// Parses one request line and enqueues it; malformed lines resolve to
-  /// structured error responses through the same path.
-  std::future<Response> submit_line_async(const std::string& line);
-  /// Convenience: parse, process, render one line synchronously.
-  std::string handle_line(const std::string& line);
-
-  // --- shard API (src/net daemon) -----------------------------------------
-  /// Synchronous per-request processing against an explicit result-cache
-  /// partition — the socket daemon's shard workers call this directly, each
+  /// The request entry point: synchronous processing against the caller's
+  /// result-cache partition. Shard workers (net/shard.hpp) call this, each
   /// with its own partition, so isomorphic resubmissions routed to the same
-  /// shard hit that shard's cache (docs/ARCHITECTURE.md §11). `cache` null
-  /// falls back to the server's own cache. Thread-safe; any number of shard
-  /// workers may call concurrently (the model's inference API is const, the
-  /// metrics and caches are internally synchronized).
-  Response process_on(const Request& request, ResultCache* cache);
+  /// shard hit that shard's cache (docs/ARCHITECTURE.md §11). Malformed
+  /// requests (Request::parse_error) become structured error responses.
+  /// Latency is measured from request.t_start (unset: from this call).
+  /// Thread-safe; any number of shard workers may call concurrently (the
+  /// model's inference API is const, the metrics and caches are internally
+  /// synchronized). Exceptions from a registered task head propagate; the
+  /// shard worker converts them to `internal` responses.
+  Response process_on(const Request& request, ResultCache& cache);
 
-  /// Appends daemon-owned sections (transport/shard counters) to the JSON a
-  /// `stats` request returns. Set once, before traffic (src/net wires this
-  /// at daemon start); the hook runs under the same snapshot as the rest of
-  /// the stats object and must be thread-safe.
+  /// Appends transport-owned sections (shard and daemon transport counters)
+  /// to the JSON a `stats` request returns. Set once, before traffic (the
+  /// daemon at start, the stdin loop when it builds its shard pool); the
+  /// hook runs under the same snapshot as the rest of the stats object and
+  /// must be thread-safe.
   using StatsExtension = std::function<void(Json*)>;
   void set_stats_extension(StatsExtension fn);
 
@@ -158,14 +144,8 @@ class Server {
   bool shutdown_requested() const;
 
   ServeMetrics& metrics() { return metrics_; }
-  ResultCache& cache() { return cache_; }
-  /// Test hook for deterministic batch formation (Batcher::pause/resume).
-  Batcher& batcher() { return *batcher_; }
 
  private:
-  /// Per-request handler: replica resolution, admission, cache, model work.
-  /// Runs on pool workers; everything it touches is internally synchronized.
-  Response process(const Request& request);
   /// The model-work stage against an explicit replica snapshot — the
   /// snapshot's weights CRC + backend namespace the cache keys, so entries
   /// computed by one replica (or one weight generation) can never answer
@@ -173,7 +153,7 @@ class Server {
   /// valid, while new weights strand the old ones (they age out via LRU).
   Response process_netlist_op(const Request& request,
                               const ReplicaSnapshot& replica,
-                              ResultCache* cache);
+                              ResultCache& cache);
   Response process_reload(const Request& request);
   Response process_model_admin(const Request& request);
 
@@ -181,7 +161,6 @@ class Server {
   ModelRegistry registry_;
   ServeMetrics metrics_;
   Admission admission_;
-  ResultCache cache_;
 
   mutable std::mutex tasks_mu_;
   std::map<std::string, TaskFn> tasks_;
@@ -190,7 +169,6 @@ class Server {
   StatsExtension stats_ext_;
 
   std::atomic<bool> shutdown_{false};
-  std::unique_ptr<Batcher> batcher_;  ///< last member: first destroyed
 };
 
 }  // namespace nettag::serve

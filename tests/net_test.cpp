@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -557,25 +558,72 @@ TEST(Daemon, DestructionAfterDrainTimeoutWithQueuedWorkIsSafe) {
   fx.reset();
 }
 
-// --- SIGTERM during an in-flight batch (serve path regression) --------------
+TEST(Daemon, ThrowingTaskHeadAnswersInternalAndKeepsServing) {
+  const std::string path = unique_sock_path("throw");
+  DaemonConfig cfg;
+  std::string err;
+  ASSERT_TRUE(cli::parse_listen_address(("unix:" + path).c_str(), &cfg.listen,
+                                        &err))
+      << err;
+  cfg.shards = 1;
+  cfg.poll_interval_ms = 20;
+  DaemonFixture fx(cfg);
+  ASSERT_TRUE(fx.runner.joinable());
+  fx.server->register_task("boom", [](const NetTag&, const Netlist&)
+                                       -> std::vector<double> {
+    throw std::runtime_error("head exploded");
+  });
+
+  Client client;
+  ASSERT_TRUE(client.connect("unix:" + path, &err)) << err;
+  Json predict = Json::object();
+  predict.set("id", "x1");
+  predict.set("op", "predict");
+  predict.set("task", "boom");
+  predict.set("netlist", kAndNetlist);
+  std::string response;
+  ASSERT_TRUE(client.request(predict.dump(), &response, &err)) << err;
+  Json j;
+  ASSERT_TRUE(Json::parse(response, &j, &err)) << response;
+  EXPECT_EQ(j.find("id")->as_string(), "x1");
+  EXPECT_EQ(j.find("status")->as_string(), "error");
+  EXPECT_EQ(j.find("error")->find("code")->as_string(), "internal");
+  EXPECT_EQ(j.find("error")->find("message")->as_string(), "head exploded");
+
+  // The shard worker survived: the next request is served normally.
+  ASSERT_TRUE(client.request(request_line("x2", "embed_gates", kAndNetlist),
+                             &response, &err))
+      << err;
+  ASSERT_TRUE(Json::parse(response, &j, &err)) << response;
+  EXPECT_EQ(j.find("id")->as_string(), "x2");
+  EXPECT_EQ(j.find("status")->as_string(), "ok") << response;
+}
+
+// --- SIGTERM during in-flight requests (serve path regression) ---------------
 
 TEST(StopSignals, SigtermDuringInFlightBatchStillYieldsWellFormedResponses) {
   const std::atomic<bool>* stop = install_stop_signals();
   stop_signal_flag()->store(false);
 
   auto server = make_server();
-  server->batcher().pause();  // requests queue; the batch forms on resume
+  ShardPool pool(*server, 1, 8, 64);
+  pool.pause();  // requests queue; the shard works them off on resume
+  auto submit = [&pool](const char* id, const char* netlist) {
+    auto done = std::make_shared<std::promise<Response>>();
+    std::future<Response> future = done->get_future();
+    pool.submit(serve::parse_request(request_line(id, "embed_gates", netlist)),
+                [done](Response resp) { done->set_value(std::move(resp)); });
+    return future;
+  };
   std::vector<std::future<Response>> futures;
-  futures.push_back(server->submit_line_async(
-      request_line("b1", "embed_gates", kAndNetlist)));
-  futures.push_back(server->submit_line_async(
-      request_line("b2", "embed_gates", kOrNetlist)));
+  futures.push_back(submit("b1", kAndNetlist));
+  futures.push_back(submit("b2", kOrNetlist));
 
   // SIGTERM lands while both requests are in flight. The handler only sets
   // the flag — processing must complete and produce well-formed responses.
   std::raise(SIGTERM);
   EXPECT_TRUE(stop->load());
-  server->batcher().resume();
+  pool.resume();
 
   for (auto& f : futures) {
     const Response r = f.get();

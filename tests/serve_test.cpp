@@ -1,6 +1,6 @@
 // Tests for the NetTAG-Serve subsystem (src/serve): JSON wire format,
 // canonical structural hashing, the LRU primitives, and the full server —
-// batching, caching, admission gate, error taxonomy, and observability.
+// caching, admission gate, error taxonomy, and observability.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include <limits>
 
 #include "core/nettag.hpp"
+#include "net/shard.hpp"
 #include "netlist/io.hpp"
 #include "nn/gemm.hpp"
 #include "serve/admission.hpp"
@@ -357,10 +358,37 @@ NetTagConfig tiny_config() {
   return cfg;
 }
 
-std::unique_ptr<Server> make_server(ServerConfig sc = {},
-                                    std::uint64_t seed = 21) {
-  return std::make_unique<Server>(
+/// A Server plus the ResultCache its requests run against: the tests'
+/// synchronous client of Server::process_on (a shard worker owns its cache
+/// partition the same way).
+class TestServer : public Server {
+ public:
+  using Server::Server;
+  Response submit(const Request& request) {
+    return process_on(request, cache_);
+  }
+  std::string handle_line(const std::string& line) {
+    return serve::render_response(submit(serve::parse_request(line)));
+  }
+  serve::ResultCache& cache() { return cache_; }
+
+ private:
+  serve::ResultCache cache_{256};
+};
+
+std::unique_ptr<TestServer> make_server(ServerConfig sc = {},
+                                        std::uint64_t seed = 21) {
+  return std::make_unique<TestServer>(
       sc, std::make_unique<NetTag>(tiny_config(), seed));
+}
+
+/// Submits `request` to `pool` and returns a future of its response.
+std::future<Response> submit_to(net::ShardPool& pool, Request request) {
+  auto done = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = done->get_future();
+  pool.submit(std::move(request),
+              [done](Response r) { done->set_value(std::move(r)); });
+  return future;
 }
 
 Request embed_request(const char* text, Op op = Op::kEmbedGates) {
@@ -546,30 +574,6 @@ TEST(Server, LenientModeAdmitsWarnings) {
   EXPECT_TRUE(dead.ok()) << dead.error_message;
 }
 
-TEST(Server, BatcherGroupsConcurrentRequests) {
-  auto server = make_server();
-  server->batcher().pause();
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 6; ++i) {
-    Request r;
-    r.op = Op::kPing;
-    r.id = std::to_string(i);
-    futures.push_back(server->submit_async(std::move(r)));
-  }
-  server->batcher().resume();
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  const auto snap = server->metrics().snapshot();
-  ASSERT_FALSE(snap.batch_histogram.empty());
-  // All six were queued before resume, so one batch of 6 must appear.
-  bool found = false;
-  for (const auto& [size, count] : snap.batch_histogram) {
-    if (size == 6 && count >= 1) found = true;
-  }
-  EXPECT_TRUE(found);
-  EXPECT_EQ(snap.requests_total, 6u);
-  EXPECT_EQ(snap.requests_ok, 6u);
-}
-
 TEST(Server, PredictUsesRegisteredHead) {
   auto server = make_server();
   server->register_task("gate_count",
@@ -591,20 +595,22 @@ TEST(Server, PredictUsesRegisteredHead) {
 
 TEST(Server, StatsExposeAllSections) {
   auto server = make_server();
-  server->submit(embed_request(kAndNetlist));
-  server->submit(embed_request(kAndRenamed));  // cache hit
-  server->handle_line("{{{");                  // one error
+  net::ShardPool pool(*server, 1, 8, 64);
+  server->set_stats_extension([&pool](Json* j) { pool.append_stats(j); });
+  submit_to(pool, embed_request(kAndNetlist)).get();
+  submit_to(pool, embed_request(kAndRenamed)).get();  // cache hit
+  submit_to(pool, serve::parse_request("{{{")).get();  // one error
   Request sr;
   sr.op = Op::kStats;
-  const Response stats = server->submit(std::move(sr));
+  const Response stats = submit_to(pool, std::move(sr)).get();
+  server->set_stats_extension(nullptr);
   ASSERT_TRUE(stats.ok());
   Json j;
   std::string err;
   ASSERT_TRUE(Json::parse(stats.result_json, &j, &err)) << err;
   for (const char* field :
        {"uptime_seconds", "requests_total", "requests_ok", "requests_error",
-        "qps", "latency_ms", "batches", "batch_size_histogram",
-        "stage_seconds", "result_cache", "text_cache"}) {
+        "qps", "latency_ms", "stage_seconds", "text_cache", "shards"}) {
     EXPECT_NE(j.find(field), nullptr) << field;
   }
   for (const char* p : {"p50", "p90", "p99", "max"}) {
@@ -614,8 +620,11 @@ TEST(Server, StatsExposeAllSections) {
        {"parse", "lint", "tag_build", "text_encode", "tagformer"}) {
     EXPECT_NE(j.find("stage_seconds")->find(s), nullptr) << s;
   }
-  EXPECT_GT(j.find("result_cache")->find("hit_rate")->as_number(), 0.0);
-  EXPECT_NE(j.find("result_cache")->find("collisions"), nullptr);
+  ASSERT_EQ(j.find("shards")->items().size(), 1u);
+  const Json* shard_cache = j.find("shards")->items()[0].find("result_cache");
+  ASSERT_NE(shard_cache, nullptr);
+  EXPECT_GT(shard_cache->find("hit_rate")->as_number(), 0.0);
+  EXPECT_NE(shard_cache->find("collisions"), nullptr);
   EXPECT_GE(j.find("requests_error")->as_int(), 1);
   EXPECT_GT(j.find("stage_seconds")->find("tagformer")->as_number(), 0.0);
 }
@@ -658,7 +667,7 @@ TEST(Server, ReloadSameWeightsKeepsCacheHits) {
   const std::string prefix = save_tiny_checkpoint("/tmp/nettag_reload_same", 21);
   ServerConfig sc;
   sc.model_prefix = prefix;
-  Server server(sc, load_checkpoint(prefix));
+  TestServer server(sc, load_checkpoint(prefix));
 
   const Response first = server.submit(embed_request(kAndNetlist));
   ASSERT_TRUE(first.ok()) << first.error_message;
@@ -688,7 +697,7 @@ TEST(Server, ReloadNewWeightsNeverReplaysStaleEntries) {
       save_tiny_checkpoint("/tmp/nettag_reload_new", 3737);  // different weights
   ServerConfig sc;
   sc.model_prefix = old_prefix;
-  Server server(sc, load_checkpoint(old_prefix));
+  TestServer server(sc, load_checkpoint(old_prefix));
 
   const Response before = server.submit(embed_request(kAndNetlist));
   ASSERT_TRUE(before.ok());
@@ -718,7 +727,7 @@ TEST(Server, FailedReloadKeepsServingOldModel) {
   const std::string prefix = save_tiny_checkpoint("/tmp/nettag_reload_keep", 21);
   ServerConfig sc;
   sc.model_prefix = prefix;
-  Server server(sc, load_checkpoint(prefix));
+  TestServer server(sc, load_checkpoint(prefix));
   const Response before = server.submit(embed_request(kAndNetlist));
   ASSERT_TRUE(before.ok());
 
@@ -804,7 +813,7 @@ TEST(Server, StatsReportNumericBackendAndSimd) {
   ServerConfig qc;
   qc.quantize = true;
   auto quant = make_server(qc);
-  auto stats_of = [](Server& s) {
+  auto stats_of = [](TestServer& s) {
     Request r;
     r.op = Op::kStats;
     Json j;
@@ -848,7 +857,7 @@ TEST(Server, ReloadRepacksUnderQuantizedConfig) {
   ServerConfig sc;
   sc.model_prefix = prefix;
   sc.quantize = true;
-  Server server(sc, load_checkpoint(prefix));
+  TestServer server(sc, load_checkpoint(prefix));
 
   const Response before = server.submit(embed_request(kAndNetlist));
   ASSERT_TRUE(before.ok()) << before.error_message;
@@ -1026,7 +1035,7 @@ TEST(Protocol, AdminOpFieldRequirements) {
 TEST(Server, TwoReplicasServeIndependently) {
   const std::string pa = save_tiny_checkpoint("/tmp/nettag_replica_a", 21);
   const std::string pb = save_tiny_checkpoint("/tmp/nettag_replica_b", 3737);
-  Server server{ServerConfig{}};
+  TestServer server{ServerConfig{}};
   std::string err;
   ASSERT_TRUE(server.load_model("a", pa, -1, &err)) << err;
   ASSERT_TRUE(server.load_model("b", pb, -1, &err)) << err;
@@ -1058,7 +1067,7 @@ TEST(Server, ReloadOneReplicaKeepsOtherReplicasCacheLive) {
   const std::string pa = save_tiny_checkpoint("/tmp/nettag_iso_a", 21);
   const std::string pa2 = save_tiny_checkpoint("/tmp/nettag_iso_a2", 5150);
   const std::string pb = save_tiny_checkpoint("/tmp/nettag_iso_b", 3737);
-  Server server{ServerConfig{}};
+  TestServer server{ServerConfig{}};
   std::string err;
   ASSERT_TRUE(server.load_model("a", pa, -1, &err)) << err;
   ASSERT_TRUE(server.load_model("b", pb, -1, &err)) << err;
@@ -1121,7 +1130,7 @@ TEST(Server, UnknownModelIsStructuredError) {
 
 TEST(Server, ModelAdminLifecycleOverTheWire) {
   const std::string p = save_tiny_checkpoint("/tmp/nettag_admin_ck", 21);
-  Server server{ServerConfig{}};
+  TestServer server{ServerConfig{}};
   Json j;
   std::string err;
 
@@ -1184,20 +1193,21 @@ TEST(Server, ModelAdminLifecycleOverTheWire) {
 
 TEST(Server, ModelUnloadDrainsQueuedRequestsWithUnknownModel) {
   const std::string p = save_tiny_checkpoint("/tmp/nettag_unload_ck", 21);
-  Server server{ServerConfig{}};
+  TestServer server{ServerConfig{}};
   std::string err;
   ASSERT_TRUE(server.load_model("a", p, -1, &err)) << err;
 
-  // Queue traffic for "a" behind a paused batcher, then unload the replica
+  // Queue traffic for "a" behind a paused shard, then unload the replica
   // out from under it. The queued requests must drain as unknown_model —
   // never crash into a dangling model pointer.
-  server.batcher().pause();
+  net::ShardPool pool(server, 1, 8, 64);
+  pool.pause();
   std::vector<std::future<Response>> queued;
   for (int i = 0; i < 4; ++i) {
-    queued.push_back(server.submit_async(model_request(kAndNetlist, "a")));
+    queued.push_back(submit_to(pool, model_request(kAndNetlist, "a")));
   }
   ASSERT_TRUE(server.unload_model("a"));
-  server.batcher().resume();
+  pool.resume();
   for (auto& f : queued) {
     const Response r = f.get();
     EXPECT_EQ(r.error, ErrorCode::kUnknownModel);
@@ -1212,7 +1222,7 @@ TEST(Server, ModelUnloadDrainsQueuedRequestsWithUnknownModel) {
 
 TEST(Server, PerReplicaQuantizeBackendsCoexist) {
   const std::string p = save_tiny_checkpoint("/tmp/nettag_quant_pair", 21);
-  Server server{ServerConfig{}};  // process default: fp32
+  TestServer server{ServerConfig{}};  // process default: fp32
   std::string err;
   ASSERT_TRUE(server.load_model("f", p, 0, &err)) << err;
   ASSERT_TRUE(server.load_model("q", p, 1, &err)) << err;
@@ -1270,7 +1280,7 @@ TEST(Server, V1LinesReplayByteIdenticalOnMultiModelServer) {
 TEST(Server, StatsReportPerReplicaSectionAndDefaults) {
   const std::string pa = save_tiny_checkpoint("/tmp/nettag_stats_a", 21);
   const std::string pb = save_tiny_checkpoint("/tmp/nettag_stats_b", 3737);
-  Server server{ServerConfig{}};
+  TestServer server{ServerConfig{}};
   std::string err;
   ASSERT_TRUE(server.load_model("a", pa, -1, &err)) << err;
   ASSERT_TRUE(server.load_model("b", pb, -1, &err)) << err;

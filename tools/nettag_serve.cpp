@@ -29,17 +29,17 @@
 //                          suffix overrides --quantize for that replica
 //   --max-gates N          admission size bound (default 4096,
 //                          serve::kDefaultMaxGates)
-//   --cache-entries N      result-cache bound (default 256; the daemon splits
-//                          it across shard partitions)
+//   --cache-entries N      result-cache bound, total across shard partitions
+//                          (default 256)
 //   --text-cache-entries N frozen-text-embedding cache bound (default 4096;
 //                          one striped cache shared by all replicas)
-//   --max-batch N          largest request batch (default 32)
 //   --reject-warnings      strict admission: lint warnings also reject
 //   --quantize             serve the int8 packed-weight path by default
 //                          (docs/PERFORMANCE.md §4); per-replica suffixes
 //                          and model_load's "quantize" field override it
-//   --log FILE             append one "<op> <status> <ms>" line per request
-// Flags (daemon):
+//   --log FILE             stdin mode only: append one "<op> <status> <ms>"
+//                          line per request
+// Flags (daemon; rejected without --listen):
 //   --listen ADDR          unix:/path/to.sock or host:port (port 0 = pick one)
 //   --shards N             worker shards / cache partitions (default 4)
 //   --queue-depth K        per-shard queue bound; beyond it netlist ops are
@@ -55,21 +55,25 @@
 // prefix (default: the prefix that replica was loaded from) without dropping
 // in-flight work; `model_load`/`model_unload` add and remove replicas at
 // runtime. Bad requests are per-request error responses, never daemon
-// failures. The stdin loop is deliberately serial — each line is processed
-// to completion before the next is read, so wire-path batches always have
-// size 1 and a replayed request file yields byte-identical output.
-// Concurrent batching happens across daemon shards, or behind the
-// in-process Server::submit_async API (see run_serve's note).
+// failures. Both modes dispatch through net::ShardPool: the stdin loop runs
+// one shard and is deliberately serial — each line is processed to
+// completion before the next is read, so nothing is ever shed and a
+// replayed request file yields byte-identical output. Concurrency comes
+// from the daemon's shards.
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/pretrain.hpp"
 #include "net/client.hpp"
 #include "net/daemon.hpp"
+#include "net/shard.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/signal.hpp"
@@ -84,9 +88,9 @@ void usage(std::FILE* to) {
                "usage: nettag_serve --model [NAME=]PREFIX[,quantize|,fp32] ...\n"
                "                    [--max-gates N]\n"
                "                    [--cache-entries N] [--text-cache-entries N]\n"
-               "                    [--max-batch N] [--reject-warnings]\n"
-               "                    [--quantize] [--log FILE]\n"
-               "                    [--listen ADDR [--shards N] [--queue-depth K]]\n"
+               "                    [--reject-warnings] [--quantize]\n"
+               "                    [--log FILE | --listen ADDR [--shards N]\n"
+               "                                              [--queue-depth K]]\n"
                "       nettag_serve --connect ADDR\n"
                "       nettag_serve --train-demo PREFIX [--seed S] [--designs N]\n"
                "       nettag_serve --help\n"
@@ -161,7 +165,8 @@ std::unique_ptr<serve::Server> build_server(
 }
 
 int run_serve(const std::vector<cli::ModelSpec>& specs,
-              serve::ServerConfig config, const std::string& log_path) {
+              serve::ServerConfig config, const net::DaemonConfig& dcfg,
+              const std::string& log_path) {
   std::ofstream log;
   if (!log_path.empty()) {
     log.open(log_path, std::ios::app);
@@ -176,6 +181,11 @@ int run_serve(const std::vector<cli::ModelSpec>& specs,
       build_server(specs, std::move(config));
   if (!server_ptr) return 2;
   serve::Server& server = *server_ptr;
+  // The daemon's dispatch path with one shard: the same queue, result-cache
+  // partition, exception guard and `stats` shard section.
+  net::ShardPool pool(server, 1, dcfg.queue_depth, dcfg.cache_entries);
+  server.set_stats_extension(
+      [&pool](serve::Json* j) { pool.append_stats(j); });
   std::fprintf(stderr,
                "nettag_serve: awaiting NDJSON requests on stdin\n");
 
@@ -190,16 +200,22 @@ int run_serve(const std::vector<cli::ModelSpec>& specs,
   // The wire transport is deliberately serial: one pipe is one client, and
   // processing each line to completion before reading the next makes the
   // response stream fully deterministic (a replayed request file always
-  // yields identical bytes, cache flags included). Concurrent batching is
-  // the in-process API's job — multi-threaded clients submitting through
-  // Server::submit_async group into shared pool regions via the Batcher.
+  // yields identical bytes, cache flags included). With one request queued
+  // at a time the shard never sheds.
   std::string line;
   while (!server.shutdown_requested() &&
          !stop->load(std::memory_order_relaxed) &&
          std::getline(std::cin, line)) {
     if (line.empty()) continue;
     Timer t;
-    const serve::Response response = server.submit_line_async(line).get();
+    serve::Request request = serve::parse_request(line);
+    request.t_start = std::chrono::steady_clock::now();
+    auto done = std::make_shared<std::promise<serve::Response>>();
+    std::future<serve::Response> pending = done->get_future();
+    pool.submit(std::move(request), [done](serve::Response r) {
+      done->set_value(std::move(r));
+    });
+    const serve::Response response = pending.get();
     std::cout << serve::render_response(response) << "\n";
     std::cout.flush();
     if (log) {
@@ -225,7 +241,6 @@ int run_daemon(const std::vector<cli::ModelSpec>& specs,
   // striped cache, and reload/model_load attach fresh models to it, so the
   // layout survives every swap (serve/registry.cpp).
   config.text_cache_partitions = dcfg.shards;
-  dcfg.cache_entries = config.cache_entries;
 
   std::unique_ptr<serve::Server> server_ptr =
       build_server(specs, std::move(config));
@@ -287,7 +302,7 @@ int main(int argc, char** argv) {
   serve::ServerConfig config;
   config.text_cache_entries = TextEmbeddingCache::kDefaultEntries;
   net::DaemonConfig dcfg;
-  bool daemon_mode = false;
+  bool daemon_mode = false, daemon_flags = false;
   std::uint64_t seed = 0x5eed;
   int designs = 1;
 
@@ -331,13 +346,10 @@ int main(int argc, char** argv) {
       config.max_gates = need_count(i);
       ++i;
     } else if (!std::strcmp(arg, "--cache-entries")) {
-      config.cache_entries = need_count(i);
+      dcfg.cache_entries = need_count(i);
       ++i;
     } else if (!std::strcmp(arg, "--text-cache-entries")) {
       config.text_cache_entries = need_count(i);
-      ++i;
-    } else if (!std::strcmp(arg, "--max-batch")) {
-      config.max_batch = need_count(i);
       ++i;
     } else if (!std::strcmp(arg, "--reject-warnings")) {
       config.reject_warnings = true;
@@ -357,9 +369,11 @@ int main(int argc, char** argv) {
       ++i;
     } else if (!std::strcmp(arg, "--shards")) {
       dcfg.shards = need_count(i);
+      daemon_flags = true;
       ++i;
     } else if (!std::strcmp(arg, "--queue-depth")) {
       dcfg.queue_depth = need_count(i);
+      daemon_flags = true;
       ++i;
     } else if (!std::strcmp(arg, "--connect")) {
       connect_spec = need_value(i);
@@ -387,6 +401,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Flags that the chosen mode would otherwise ignore are usage errors.
+  if (daemon_mode && !log_path.empty()) {
+    std::fprintf(stderr, "nettag_serve: --log is not accepted with --listen\n");
+    return 2;
+  }
+  if (daemon_flags && !daemon_mode) {
+    std::fprintf(stderr,
+                 "nettag_serve: --shards and --queue-depth require --listen\n");
+    return 2;
+  }
   if (!connect_spec.empty()) {
     if (!model_specs.empty() || !demo_prefix.empty() || daemon_mode) {
       std::fprintf(stderr,
@@ -428,5 +452,5 @@ int main(int argc, char** argv) {
   if (daemon_mode) {
     return run_daemon(model_specs, std::move(config), std::move(dcfg));
   }
-  return run_serve(model_specs, std::move(config), log_path);
+  return run_serve(model_specs, std::move(config), dcfg, log_path);
 }
