@@ -96,9 +96,7 @@ TagFormer::Output NetTag::forward_features(
 
 TagFormer::Output NetTag::forward_tensor(
     const Tensor& features, const std::vector<std::pair<int, int>>& edges) const {
-  const int n = features->value.rows;
-  Tensor adj = make_tensor(tag_adjacency(n, edges), false);
-  return tagformer_->forward(features, adj);
+  return tagformer_->forward(features, edges);
 }
 
 NetTag::ConeEmbedding NetTag::embed(const Netlist& nl, int k_hop_override,
@@ -193,7 +191,11 @@ void NetTag::load(const std::string& path_prefix) {
 }
 
 namespace {
-constexpr const char* kCkptFormat = "nettag-ckpt-v1";
+// v2: the TAGFormer's global attention is SGFormer's single-head linear
+// attention (Wq/Wk/Wv, no output projection). A v1 parameter list was
+// trained for softmax multi-head attention and does not fit v2's.
+constexpr const char* kCkptFormat = "nettag-ckpt-v2";
+constexpr const char* kCkptFormatV1 = "nettag-ckpt-v1";
 }  // namespace
 
 void save_checkpoint(const NetTag& model, const std::string& prefix) {
@@ -249,6 +251,11 @@ NetTagConfig read_checkpoint_config(const std::string& prefix) {
            std::to_string(prev->second) + ")");
     }
     if (key == "format") {
+      if (value == kCkptFormatV1) {
+        fail("format '" + value +
+             "' predates the linear-attention TAGFormer (" + kCkptFormat +
+             "); its weights do not fit this architecture, retrain the model");
+      }
       if (value != kCkptFormat) fail("unknown format '" + value + "'");
       format_ok = true;
     } else if (key == "expr_d_model") {

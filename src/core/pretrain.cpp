@@ -404,7 +404,7 @@ void pretrain_layout_encoder(Gcn& encoder,
     ThreadPool::instance().run_indexed(graphs.size(), [&](std::size_t i) {
       const LayoutGraph& lg = *graphs[i];
       const int n = static_cast<int>(lg.node_feats.size());
-      Tensor adj = make_tensor(normalized_adjacency(n, lg.edges), false);
+      const CsrPtr adj = normalized_adjacency(n, lg.edges);
       anchors[i] = encoder.forward_graph(
           make_tensor(layout_features(lg), false), adj);
       positives[i] = encoder.forward_graph(
@@ -636,7 +636,7 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
     if (options.objective_align && layout_encoder && c->has_layout &&
         !c->layout.node_feats.empty()) {
       const int n = static_cast<int>(c->layout.node_feats.size());
-      Tensor adj = make_tensor(normalized_adjacency(n, c->layout.edges), false);
+      const CsrPtr adj = normalized_adjacency(n, c->layout.edges);
       p.layout_emb = layout_encoder
                          ->forward_graph(make_tensor(layout_features(c->layout),
                                                      false),
@@ -721,8 +721,7 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
           static_cast<std::size_t>(tag_shards), [&](std::size_t s) {
             auto fwd = [&](const Mat& feats,
                            const std::vector<std::pair<int, int>>& edges) {
-              Tensor adj = make_tensor(tag_adjacency(feats.rows, edges), false);
-              return tf_clones[s]->forward(make_tensor(feats, false), adj);
+              return tf_clones[s]->forward(make_tensor(feats, false), edges);
             };
             for (int i = ranges[s].first; i < ranges[s].second; ++i) {
               const PreparedCone* p = batch[static_cast<std::size_t>(i)];

@@ -11,16 +11,16 @@ Gcn::Gcn(const GcnConfig& config, Rng& rng) : config_(config) {
   }
 }
 
-Tensor Gcn::forward_nodes(const Tensor& feats, const Tensor& adj) const {
+Tensor Gcn::forward_nodes(const Tensor& feats, const CsrPtr& adj) const {
   Tensor x = feats;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    x = layers_[l]->forward(matmul(adj, x));
+    x = layers_[l]->forward(spmm(adj, x));
     if (l + 1 < layers_.size()) x = relu(x);
   }
   return x;
 }
 
-Tensor Gcn::forward_graph(const Tensor& feats, const Tensor& adj) const {
+Tensor Gcn::forward_graph(const Tensor& feats, const CsrPtr& adj) const {
   return mean_rows(forward_nodes(feats, adj));
 }
 

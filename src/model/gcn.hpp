@@ -22,11 +22,12 @@ class Gcn : public Module {
  public:
   Gcn(const GcnConfig& config, Rng& rng);
 
-  /// Node embeddings: N x out_dim.
-  Tensor forward_nodes(const Tensor& feats, const Tensor& adj) const;
+  /// Node embeddings: N x out_dim. `adj`: N x N normalized adjacency
+  /// (model/graph.hpp normalized_adjacency).
+  Tensor forward_nodes(const Tensor& feats, const CsrPtr& adj) const;
 
   /// Graph embedding: 1 x out_dim (mean pooled).
-  Tensor forward_graph(const Tensor& feats, const Tensor& adj) const;
+  Tensor forward_graph(const Tensor& feats, const CsrPtr& adj) const;
 
   const GcnConfig& config() const { return config_; }
   std::vector<Tensor> params() const override;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 namespace nettag {
 
@@ -16,29 +17,61 @@ std::vector<std::pair<int, int>> netlist_edges(const Netlist& nl) {
   return {uniq.begin(), uniq.end()};
 }
 
-Mat normalized_adjacency(int n, const std::vector<std::pair<int, int>>& edges) {
-  Mat a(n, n);
-  for (int i = 0; i < n; ++i) a.at(i, i) = 1.f;
+CsrPtr normalized_adjacency(int n, const std::vector<std::pair<int, int>>& edges) {
+  NETTAG_CHECK(n >= 0, "normalized_adjacency: negative node count " +
+                           std::to_string(n));
+  const auto un = static_cast<std::size_t>(n);
+  // Bucket each row's entries of A + I (both directions of every edge plus
+  // the self loop), then sort and dedupe each bucket, so duplicate,
+  // reversed and self-loop edges count once.
+  std::vector<std::size_t> start(un + 1, 1);
+  start[0] = 0;
   for (const auto& [u, v] : edges) {
-    a.at(u, v) = 1.f;
-    a.at(v, u) = 1.f;
+    NETTAG_CHECK(u >= 0 && u < n && v >= 0 && v < n,
+                 "normalized_adjacency: edge (" + std::to_string(u) + ", " +
+                     std::to_string(v) + ") outside " + std::to_string(n) +
+                     " nodes");
+    ++start[static_cast<std::size_t>(u) + 1];
+    ++start[static_cast<std::size_t>(v) + 1];
   }
-  std::vector<float> deg(static_cast<std::size_t>(n), 0.f);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) deg[static_cast<std::size_t>(i)] += a.at(i, j);
+  for (std::size_t i = 1; i <= un; ++i) start[i] += start[i - 1];
+  std::vector<int> bucket(start[un]);
+  std::vector<std::size_t> next(start.begin(), start.end() - 1);
+  for (std::size_t i = 0; i < un; ++i) bucket[next[i]++] = static_cast<int>(i);
+  for (const auto& [u, v] : edges) {
+    bucket[next[static_cast<std::size_t>(u)]++] = v;
+    bucket[next[static_cast<std::size_t>(v)]++] = u;
   }
-  for (int i = 0; i < n; ++i) {
-    const float di = 1.f / std::sqrt(std::max(deg[static_cast<std::size_t>(i)], 1.f));
-    for (int j = 0; j < n; ++j) {
-      const float dj = 1.f / std::sqrt(std::max(deg[static_cast<std::size_t>(j)], 1.f));
-      a.at(i, j) *= di * dj;
+  auto a = std::make_shared<Csr>();
+  a->rows = a->cols = n;
+  a->row_ptr.push_back(0);
+  for (std::size_t i = 0; i < un; ++i) {
+    const auto b = bucket.begin() + static_cast<std::ptrdiff_t>(start[i]);
+    const auto e = bucket.begin() + static_cast<std::ptrdiff_t>(start[i + 1]);
+    std::sort(b, e);
+    a->col.insert(a->col.end(), b, std::unique(b, e));
+    a->row_ptr.push_back(static_cast<int>(a->col.size()));
+  }
+  // deg = row length of A + I; entry (i, j) = deg_i^-1/2 * deg_j^-1/2.
+  std::vector<float> inv_sqrt(un);
+  for (std::size_t i = 0; i < un; ++i) {
+    const float deg = static_cast<float>(a->row_ptr[i + 1] - a->row_ptr[i]);
+    inv_sqrt[i] = 1.f / std::sqrt(std::max(deg, 1.f));
+  }
+  a->val.reserve(a->col.size());
+  for (std::size_t i = 0; i < un; ++i) {
+    for (int p = a->row_ptr[i]; p < a->row_ptr[i + 1]; ++p) {
+      a->val.push_back(inv_sqrt[i] *
+                       inv_sqrt[static_cast<std::size_t>(a->col[static_cast<std::size_t>(p)])]);
     }
   }
   return a;
 }
 
-Mat tag_adjacency(int n, const std::vector<std::pair<int, int>>& edges) {
-  std::vector<std::pair<int, int>> with_cls = edges;
+CsrPtr tag_adjacency(int n, const std::vector<std::pair<int, int>>& edges) {
+  std::vector<std::pair<int, int>> with_cls;
+  with_cls.reserve(edges.size() + static_cast<std::size_t>(n));
+  with_cls.insert(with_cls.end(), edges.begin(), edges.end());
   for (int i = 0; i < n; ++i) with_cls.emplace_back(i, n);
   return normalized_adjacency(n + 1, with_cls);
 }

@@ -1,10 +1,10 @@
-// Dense graph utilities shared by TAGFormer, the layout encoder, and the
-// GCN baselines: normalized adjacency construction and feature extraction
-// from netlists / layout graphs.
+// Graph utilities shared by TAGFormer, the layout encoder, and the GCN
+// baselines: normalized adjacency construction and feature extraction from
+// netlists / layout graphs.
 //
-// Graphs at cone scale (tens to a few hundred nodes) are represented
-// densely; symmetric normalization with self-loops follows the standard GCN
-// recipe (D^-1/2 (A + I) D^-1/2).
+// Adjacency is sparse (CSR, consumed by the spmm op), so whole netlists of
+// tens of thousands of gates cost O(N + E); symmetric normalization with
+// self-loops follows the standard GCN recipe (D^-1/2 (A + I) D^-1/2).
 #pragma once
 
 #include <utility>
@@ -19,13 +19,16 @@ namespace nettag {
 /// Directed edges driver->sink for a netlist (one per sink pin, deduped).
 std::vector<std::pair<int, int>> netlist_edges(const Netlist& nl);
 
-/// Symmetrically normalized dense adjacency with self loops over `n` nodes.
-Mat normalized_adjacency(int n, const std::vector<std::pair<int, int>>& edges);
+/// Symmetrically normalized adjacency with self loops over `n` nodes, as an
+/// n x n CSR matrix. Edges are undirected and binary: reversed, duplicate
+/// and self-loop edges add nothing beyond the first. Throws CheckError on an
+/// endpoint outside [0, n).
+CsrPtr normalized_adjacency(int n, const std::vector<std::pair<int, int>>& edges);
 
 /// Adjacency for TAGFormer: n graph nodes plus a virtual [CLS] node at index
 /// n connected to every node (paper §II-C), normalized as above. Result is
 /// (n+1) x (n+1).
-Mat tag_adjacency(int n, const std::vector<std::pair<int, int>>& edges);
+CsrPtr tag_adjacency(int n, const std::vector<std::pair<int, int>>& edges);
 
 /// Structural node features used by graph-only baselines and the
 /// "w/o text attributes" ablation: one-hot cell type + normalized fanin /

@@ -129,6 +129,213 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   });
 }
 
+namespace {
+
+/// out[i,:] += sum_p val[p] * x[col[p],:] over every row i of `a`. Rows are
+/// split over the pool and each is written by one task, in column order.
+void csr_gather(const Csr& a, const float* x, int d, float* out) {
+  const std::size_t avg_nnz =
+      std::max<std::size_t>(1, a.nnz() / static_cast<std::size_t>(std::max(a.rows, 1)));
+  for_rows(a.rows, avg_nnz * static_cast<std::size_t>(d), par::kMinOps,
+           [&](int i0, int i1) {
+    for (int i = i0; i < i1; ++i) {
+      float* o = out + static_cast<std::size_t>(i) * d;
+      for (int p = a.row_ptr[static_cast<std::size_t>(i)];
+           p < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++p) {
+        const float w = a.val[static_cast<std::size_t>(p)];
+        const float* xr =
+            x + static_cast<std::size_t>(a.col[static_cast<std::size_t>(p)]) * d;
+        for (int j = 0; j < d; ++j) o[j] += w * xr[j];
+      }
+    }
+  });
+}
+
+/// A^T by a stable counting sort on columns: each transposed row lists its
+/// entries in ascending original-row order.
+Csr csr_transpose(const Csr& a) {
+  Csr t;
+  t.rows = a.cols;
+  t.cols = a.rows;
+  t.row_ptr.assign(static_cast<std::size_t>(a.cols) + 1, 0);
+  for (int c : a.col) ++t.row_ptr[static_cast<std::size_t>(c) + 1];
+  for (std::size_t i = 1; i < t.row_ptr.size(); ++i) t.row_ptr[i] += t.row_ptr[i - 1];
+  t.col.resize(a.nnz());
+  t.val.resize(a.nnz());
+  std::vector<int> next(t.row_ptr.begin(), t.row_ptr.end() - 1);
+  for (int i = 0; i < a.rows; ++i) {
+    for (int p = a.row_ptr[static_cast<std::size_t>(i)];
+         p < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      const auto at = static_cast<std::size_t>(
+          next[static_cast<std::size_t>(a.col[static_cast<std::size_t>(p)])]++);
+      t.col[at] = i;
+      t.val[at] = a.val[static_cast<std::size_t>(p)];
+    }
+  }
+  return t;
+}
+
+/// Frobenius inner product <a, b> in a width-independent order: one partial
+/// per row (each row summed by one task), then a serial sum over rows.
+double frobenius_dot(const Mat& a, const Mat& b) {
+  std::vector<double> part(static_cast<std::size_t>(a.rows));
+  for_rows(a.rows, static_cast<std::size_t>(a.cols), par::kMinOps,
+           [&](int i0, int i1) {
+    for (int i = i0; i < i1; ++i) {
+      double s = 0.0;
+      for (int j = 0; j < a.cols; ++j) {
+        s += static_cast<double>(a.at(i, j)) * static_cast<double>(b.at(i, j));
+      }
+      part[static_cast<std::size_t>(i)] = s;
+    }
+  });
+  double s = 0.0;
+  for (double p : part) s += p;
+  return s;
+}
+
+/// x / ||x||_F; `norm` receives the divisor (with a tiny epsilon so an
+/// all-zero x stays finite).
+Mat frobenius_normalize(const Mat& x, float* norm) {
+  const float nm = static_cast<float>(std::sqrt(frobenius_dot(x, x))) + 1e-8f;
+  *norm = nm;
+  Mat out = x;
+  float* o = out.v.data();
+  for_elems(out.v.size(), par::kMinOps, [o, nm](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) o[i] /= nm;
+  });
+  return out;
+}
+
+/// Gradient of x -> x / ||x||_F: grad += (dxh - xh <dxh, xh>) / norm.
+void frobenius_normalize_backward(const Mat& xh, const Mat& dxh, float norm,
+                                  Mat& grad) {
+  const float dot = static_cast<float>(frobenius_dot(dxh, xh));
+  float* g = grad.v.data();
+  const float* d = dxh.v.data();
+  const float* y = xh.v.data();
+  for_elems(grad.v.size(), par::kMinOps, [=](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) g[i] += (d[i] - y[i] * dot) / norm;
+  });
+}
+
+}  // namespace
+
+Tensor spmm(const CsrPtr& a, const Tensor& x) {
+  NETTAG_CHECK(a && a->cols == x->value.rows &&
+                   a->row_ptr.size() == static_cast<std::size_t>(a->rows) + 1,
+               "spmm: sparse operand " +
+                   (a ? std::to_string(a->rows) + "x" + std::to_string(a->cols)
+                      : std::string("(null)")) +
+                   " does not fit dense operand " + sh(x->value));
+  const int d = x->value.cols;
+  Mat out(a->rows, d);
+  csr_gather(*a, x->value.v.data(), d, out.v.data());
+  Node* xn = x.get();
+  return make_op("spmm", std::move(out), {x}, [a, xn, d](Node* o) {
+    if (!xn->requires_grad) return;
+    xn->ensure_grad();
+    // dX = A^T dOut, gathered row by row: no two tasks write one row.
+    csr_gather(csr_transpose(*a), o->grad.v.data(), d, xn->grad.v.data());
+  });
+}
+
+Tensor linear_attention(const Tensor& q, const Tensor& k, const Tensor& v) {
+  const int m = q->value.rows, d = q->value.cols, dv = v->value.cols;
+  NETTAG_CHECK(m > 0 && k->value.rows == m && k->value.cols == d &&
+                   v->value.rows == m,
+               "linear_attention: q " + sh(q->value) + ", k " + sh(k->value) +
+                   ", v " + sh(v->value) +
+                   " (want q, k: M x d and v: M x dv, M > 0)");
+  const float inv_m = 1.f / static_cast<float>(m);
+  float q_norm = 0.f, k_norm = 0.f;
+  Mat qh = frobenius_normalize(q->value, &q_norm);
+  Mat kh = frobenius_normalize(k->value, &k_norm);
+  // kv = K^T V (d x dv) and ksum = K^T 1 (d x 1): the only global reductions.
+  Mat kv(d, dv);
+  gemm_tn(m, d, dv, kh.v.data(), v->value.v.data(), kv.v.data());
+  const std::vector<float> ones(static_cast<std::size_t>(m), 1.f);
+  std::vector<float> ksum(static_cast<std::size_t>(d), 0.f);
+  gemm_tn(m, d, 1, kh.v.data(), ones.data(), ksum.data());
+  Mat out(m, dv);
+  gemm_nn(m, d, dv, qh.v.data(), kv.v.data(), out.v.data());
+  std::vector<float> den(static_cast<std::size_t>(m));
+  for_rows(m, static_cast<std::size_t>(d + dv), par::kMinOps, [&](int i0, int i1) {
+    for (int i = i0; i < i1; ++i) {
+      float qs = 0.f;
+      for (int p = 0; p < d; ++p) qs += qh.at(i, p) * ksum[static_cast<std::size_t>(p)];
+      const float dn = 1.f + qs * inv_m;
+      den[static_cast<std::size_t>(i)] = dn;
+      for (int j = 0; j < dv; ++j) {
+        out.at(i, j) = (v->value.at(i, j) + out.at(i, j) * inv_m) / dn;
+      }
+    }
+  });
+  Node* qn = q.get();
+  Node* kn = k.get();
+  Node* vn = v.get();
+  return make_op(
+      "linear_attention", std::move(out), {q, k, v},
+      [qn, kn, vn, m, d, dv, inv_m, q_norm, k_norm, qh = std::move(qh),
+       kh = std::move(kh), kv = std::move(kv), ksum = std::move(ksum),
+       den = std::move(den)](Node* o) {
+        // Through the row division: dnum = G / den, dden = -<G, out> / den.
+        Mat gn(m, dv);
+        std::vector<float> dden(static_cast<std::size_t>(m));
+        for_rows(m, static_cast<std::size_t>(dv) * 2, par::kMinOps,
+                 [&](int i0, int i1) {
+          for (int i = i0; i < i1; ++i) {
+            const float dn = den[static_cast<std::size_t>(i)];
+            float dot = 0.f;
+            for (int j = 0; j < dv; ++j) {
+              gn.at(i, j) = o->grad.at(i, j) / dn;
+              dot += o->grad.at(i, j) * o->value.at(i, j);
+            }
+            dden[static_cast<std::size_t>(i)] = -dot / dn;
+          }
+        });
+        // dkv = Q^T dnum / M and dksum = Q^T dden / M.
+        Mat dkv(d, dv);
+        gemm_tn(m, d, dv, qh.v.data(), gn.v.data(), dkv.v.data());
+        for (float& x : dkv.v) x *= inv_m;
+        std::vector<float> dksum(static_cast<std::size_t>(d), 0.f);
+        gemm_tn(m, d, 1, qh.v.data(), dden.data(), dksum.data());
+        for (float& x : dksum) x *= inv_m;
+        if (vn->requires_grad) {
+          accumulate(vn, gn);  // dv = dnum + K dkv
+          gemm_nn(m, d, dv, kh.v.data(), dkv.v.data(), vn->grad.v.data());
+        }
+        if (qn->requires_grad) {
+          qn->ensure_grad();
+          Mat dqh(m, d);
+          gemm_nt(m, d, dv, gn.v.data(), kv.v.data(), dqh.v.data());
+          for_rows(m, static_cast<std::size_t>(d), par::kMinOps, [&](int i0, int i1) {
+            for (int i = i0; i < i1; ++i) {
+              const float dn = dden[static_cast<std::size_t>(i)];
+              for (int p = 0; p < d; ++p) {
+                dqh.at(i, p) =
+                    (dqh.at(i, p) + dn * ksum[static_cast<std::size_t>(p)]) * inv_m;
+              }
+            }
+          });
+          frobenius_normalize_backward(qh, dqh, q_norm, qn->grad);
+        }
+        if (kn->requires_grad) {
+          kn->ensure_grad();
+          Mat dkh(m, d);
+          gemm_nt(m, d, dv, vn->value.v.data(), dkv.v.data(), dkh.v.data());
+          for_rows(m, static_cast<std::size_t>(d), par::kMinOps, [&](int i0, int i1) {
+            for (int i = i0; i < i1; ++i) {
+              for (int p = 0; p < d; ++p) {
+                dkh.at(i, p) += dksum[static_cast<std::size_t>(p)];
+              }
+            }
+          });
+          frobenius_normalize_backward(kh, dkh, k_norm, kn->grad);
+        }
+      });
+}
+
 Tensor add(const Tensor& a, const Tensor& b) {
   NETTAG_CHECK(
       a->value.rows == b->value.rows && a->value.cols == b->value.cols,

@@ -53,6 +53,19 @@ struct Mat {
   std::size_t size() const { return v.size(); }
 };
 
+/// Constant compressed-sparse-row matrix: the graph operand of spmm.
+/// Columns ascend within each row, so a row's summation order is fixed.
+struct Csr {
+  int rows = 0;
+  int cols = 0;
+  std::vector<int> row_ptr;  ///< rows + 1 offsets into col / val
+  std::vector<int> col;
+  std::vector<float> val;
+
+  std::size_t nnz() const { return val.size(); }
+};
+using CsrPtr = std::shared_ptr<const Csr>;
+
 class Node;
 using Tensor = std::shared_ptr<Node>;
 
@@ -106,6 +119,15 @@ Tensor scalar(float v);
 // --- ops (each returns a new graph node) --------------------------------------
 
 Tensor matmul(const Tensor& a, const Tensor& b);
+/// Sparse-dense product A x for a constant CSR `a` (rows x cols) and a
+/// cols x D tensor. Forward and backward (a gather through A's transpose)
+/// are row-parallel, so results are bit-identical at any pool width.
+Tensor spmm(const CsrPtr& a, const Tensor& x);
+/// SGFormer's simple global attention (Wu et al., NeurIPS 2023) over the M
+/// rows of q, k (M x d) and v (M x dv). With Q = q/||q||_F, K = k/||k||_F:
+///   out = (v + Q (K^T v) / M) / (1 + Q (K^T 1) / M)   (row-wise division).
+/// O(M d dv) time and memory: no M x M buffer is formed.
+Tensor linear_attention(const Tensor& q, const Tensor& k, const Tensor& v);
 Tensor add(const Tensor& a, const Tensor& b);        ///< same shape
 Tensor add_rowvec(const Tensor& a, const Tensor& b); ///< a: NxD, b: 1xD
 Tensor sub(const Tensor& a, const Tensor& b);

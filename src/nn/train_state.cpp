@@ -15,10 +15,14 @@ namespace nettag {
 
 namespace {
 
-// "NTS2": v2 appends shard_index (streaming pre-training). Old "NTS1"
-// records are rejected by magic — checkpoints are session-scoped artifacts,
-// not long-lived archives, so there is no legacy-read path.
-constexpr std::uint32_t kMagic = 0x4e545332;
+// "NTS3": same layout as "NTS2" (which appended shard_index for streaming
+// pre-training), bumped when the TAGFormer moved to linear attention: an
+// NTS2 record's optimizer moments and step counts belong to the old
+// parameter list. Older records are rejected by magic — checkpoints are
+// short-lived training artifacts, not archives, so there is no legacy-read
+// path.
+constexpr std::uint32_t kMagic = 0x4e545333;
+constexpr std::uint32_t kMagicV2 = 0x4e545332;
 
 // The record is serialized into one contiguous buffer so the trailing CRC
 // can cover every preceding byte; fields are little-endian fixed-width.
@@ -111,6 +115,7 @@ class Reader {
     if (n > buf_.size() - at_) {
       throw std::runtime_error("load_train_state: truncated record " + path_);
     }
+    if (n == 0) return;  // `out` may be null for an empty vector
     std::memcpy(out, buf_.data() + at_, n);
     at_ += n;
   }
@@ -181,7 +186,15 @@ TrainState load_train_state(const std::string& path) {
   }
 
   Reader r(buf, path);
-  if (r.get_u32() != kMagic) {
+  const std::uint32_t magic = r.get_u32();
+  if (magic == kMagicV2) {
+    throw std::runtime_error(
+        "load_train_state: " + path +
+        " is an NTS2 record, written before the TAGFormer moved to linear "
+        "attention; its optimizer state does not fit this model, so the run "
+        "cannot resume — retrain from scratch");
+  }
+  if (magic != kMagic) {
     throw std::runtime_error("load_train_state: bad magic in " + path);
   }
   TrainState state;

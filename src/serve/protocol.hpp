@@ -117,11 +117,10 @@ const char* error_code_name(ErrorCode code);
 inline constexpr std::size_t kDefaultMaxConeGates = 120;
 
 /// The one authoritative default for the admission size bound (netlists with
-/// more gates get kTooLarge). Whole-netlist embeds build dense N x N
-/// TAGFormer attention and adjacency, so peak RSS grows quadratically: one
-/// request peaks at ~0.4 GB for 2700 gates, ~0.9 GB for 4096 and ~2 GB for
-/// 6144. 4096 lets the default 4 shards each hold one such request on a
-/// 15 GB host with room to spare.
+/// more gates get kTooLarge). It dates from the dense N x N TAGFormer
+/// (~0.9 GB for one 4096-gate request); the linear TAGFormer's cost grows
+/// linearly (a fresh daemon peaks at ~60 MB for 4096 gates and ~400 MB for
+/// 31k), so the bound is conservative until a cost model replaces it.
 inline constexpr std::size_t kDefaultMaxGates = 4096;
 
 /// The replica every v1 request (no "model" field) targets.

@@ -16,7 +16,7 @@ namespace {
 struct AigDesign {
   Netlist aig;
   Mat feats;
-  Mat adj;
+  CsrPtr adj;
   std::vector<int> gate_rows;
   std::vector<int> labels;
 };
@@ -88,12 +88,11 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
         const AigDesign& a = designs[enc_rng.index(designs.size())];
         Netlist aug = cleanup(logic_rewrite(a.aig, enc_rng, 0.3));
         Mat aug_feats = netlist_base_features(aug);
-        Mat aug_adj = normalized_adjacency(static_cast<int>(aug.size()),
-                                           netlist_edges(aug));
-        anchors.push_back(enc.forward_graph(make_tensor(a.feats, false),
-                                            make_tensor(a.adj, false)));
-        positives.push_back(enc.forward_graph(make_tensor(aug_feats, false),
-                                              make_tensor(aug_adj, false)));
+        const CsrPtr aug_adj =
+            normalized_adjacency(static_cast<int>(aug.size()), netlist_edges(aug));
+        anchors.push_back(enc.forward_graph(make_tensor(a.feats, false), a.adj));
+        positives.push_back(
+            enc.forward_graph(make_tensor(aug_feats, false), aug_adj));
       }
       Tensor loss = info_nce(concat_rows(anchors), concat_rows(positives), 0.1f);
       backward(loss);
@@ -101,9 +100,7 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
     }
     std::vector<Mat> emb;
     for (const AigDesign& a : designs) {
-      emb.push_back(enc.forward_nodes(make_tensor(a.feats, false),
-                                      make_tensor(a.adj, false))
-                        ->value);
+      emb.push_back(enc.forward_nodes(make_tensor(a.feats, false), a.adj)->value);
     }
     Rng head_rng = rng.fork();
     result.fgnn = eval_frozen(designs, emb, train, test, options.head, head_rng);
@@ -144,7 +141,7 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
     for (int step = 0; step < options.pretrain_steps; ++step) {
       const std::size_t d = enc_rng.index(designs.size());
       Tensor nodes = enc.forward_nodes(make_tensor(designs[d].feats, false),
-                                       make_tensor(designs[d].adj, false));
+                                       designs[d].adj);
       Tensor pred = sigmoid(prob_head.forward(nodes));
       Tensor loss = mse_loss(pred, prob_targets[d]);
       backward(loss);
@@ -152,9 +149,7 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
     }
     std::vector<Mat> emb;
     for (const AigDesign& a : designs) {
-      emb.push_back(enc.forward_nodes(make_tensor(a.feats, false),
-                                      make_tensor(a.adj, false))
-                        ->value);
+      emb.push_back(enc.forward_nodes(make_tensor(a.feats, false), a.adj)->value);
     }
     Rng head_rng = rng.fork();
     result.deepgate =

@@ -106,7 +106,7 @@ Task1Result run_task1(NetTag& model, const Corpus& corpus,
   Adam gnn_opt(gnn.params(), options.gnn_lr);
   // Precompute features/adjacency per design.
   std::vector<Mat> feats(corpus.designs.size());
-  std::vector<Mat> adjs(corpus.designs.size());
+  std::vector<CsrPtr> adjs(corpus.designs.size());
   for (std::size_t i = 0; i < corpus.designs.size(); ++i) {
     feats[i] = netlist_base_features(*data[i].nl);
     adjs[i] = normalized_adjacency(static_cast<int>(data[i].nl->size()),
@@ -118,7 +118,7 @@ Task1Result run_task1(NetTag& model, const Corpus& corpus,
     if (dd.gate_rows.empty()) continue;
     Tensor nodes = gnn.forward_nodes(
         make_tensor(feats[static_cast<std::size_t>(d)], false),
-        make_tensor(adjs[static_cast<std::size_t>(d)], false));
+        adjs[static_cast<std::size_t>(d)]);
     std::vector<Tensor> rows;
     rows.reserve(dd.gate_rows.size());
     for (int r : dd.gate_rows) rows.push_back(slice_rows(nodes, r, 1));
@@ -141,7 +141,7 @@ Task1Result run_task1(NetTag& model, const Corpus& corpus,
     // GNN predictions.
     Tensor nodes = gnn.forward_nodes(
         make_tensor(feats[static_cast<std::size_t>(d)], false),
-        make_tensor(adjs[static_cast<std::size_t>(d)], false));
+        adjs[static_cast<std::size_t>(d)]);
     std::vector<int> pred;
     for (int r : dd.gate_rows) {
       int best = 0;

@@ -80,7 +80,8 @@ Task2Result run_task2(NetTag& model, const Corpus& corpus,
   gc.out_dim = 2;
   Gcn gnn(gc, gnn_rng);
   Adam opt(gnn.params(), options.gnn_lr);
-  std::vector<Mat> feats(corpus.designs.size()), adjs(corpus.designs.size());
+  std::vector<Mat> feats(corpus.designs.size());
+  std::vector<CsrPtr> adjs(corpus.designs.size());
   std::vector<std::vector<int>> reg_rows(corpus.designs.size());
   std::vector<std::vector<int>> reg_labels(corpus.designs.size());
   for (std::size_t d = 0; d < corpus.designs.size(); ++d) {
@@ -96,8 +97,7 @@ Task2Result run_task2(NetTag& model, const Corpus& corpus,
     const std::size_t d =
         static_cast<std::size_t>(train[gnn_rng.index(train.size())]);
     if (reg_rows[d].empty()) continue;
-    Tensor nodes = gnn.forward_nodes(make_tensor(feats[d], false),
-                                     make_tensor(adjs[d], false));
+    Tensor nodes = gnn.forward_nodes(make_tensor(feats[d], false), adjs[d]);
     std::vector<Tensor> rows;
     for (int r : reg_rows[d]) rows.push_back(slice_rows(nodes, r, 1));
     Tensor loss = cross_entropy(concat_rows(rows), reg_labels[d]);
@@ -124,8 +124,7 @@ Task2Result run_task2(NetTag& model, const Corpus& corpus,
     pred = head.predict(vstack(xs));
     row.nettag = binary_report(truth, pred);
     // ReIGNN.
-    Tensor nodes = gnn.forward_nodes(make_tensor(feats[di], false),
-                                     make_tensor(adjs[di], false));
+    Tensor nodes = gnn.forward_nodes(make_tensor(feats[di], false), adjs[di]);
     std::vector<int> gnn_pred;
     for (int r : reg_rows[di]) {
       gnn_pred.push_back(nodes->value.at(r, 1) > nodes->value.at(r, 0) ? 1 : 0);

@@ -138,7 +138,8 @@ Task3Result run_task3(NetTag& model, const Corpus& corpus,
   Gcn gnn(gc, gnn_rng);
   Adam opt(gnn.params(), options.gnn_lr);
 
-  std::vector<Mat> feats(corpus.designs.size()), adjs(corpus.designs.size());
+  std::vector<Mat> feats(corpus.designs.size());
+  std::vector<CsrPtr> adjs(corpus.designs.size());
   std::vector<std::vector<int>> reg_rows(corpus.designs.size());
   std::vector<std::vector<double>> reg_slack(corpus.designs.size());
   std::vector<std::vector<double>> reg_residual(corpus.designs.size());
@@ -182,8 +183,7 @@ Task3Result run_task3(NetTag& model, const Corpus& corpus,
     const std::size_t d =
         static_cast<std::size_t>(train[gnn_rng.index(train.size())]);
     if (reg_rows[d].empty()) continue;
-    Tensor nodes = gnn.forward_nodes(make_tensor(feats[d], false),
-                                     make_tensor(adjs[d], false));
+    Tensor nodes = gnn.forward_nodes(make_tensor(feats[d], false), adjs[d]);
     std::vector<Tensor> rows;
     Mat target(static_cast<int>(reg_rows[d].size()), 1);
     for (std::size_t i = 0; i < reg_rows[d].size(); ++i) {
@@ -224,8 +224,7 @@ Task3Result run_task3(NetTag& model, const Corpus& corpus,
       slack_pred.push_back(cones[i].clock_period - arr);
     }
     row.nettag = regression_report(truth, slack_pred, mape_floor);
-    Tensor nodes = gnn.forward_nodes(make_tensor(feats[di], false),
-                                     make_tensor(adjs[di], false));
+    Tensor nodes = gnn.forward_nodes(make_tensor(feats[di], false), adjs[di]);
     std::vector<double> gnn_pred;
     for (std::size_t i = 0; i < reg_rows[di].size(); ++i) {
       const double z =

@@ -19,7 +19,7 @@ namespace {
 /// so the model scales with netlist size, then a linear head maps the pooled
 /// vector to the log-domain target.
 std::vector<double> train_eval_gnn(const std::vector<Mat>& feats,
-                                   const std::vector<Mat>& adjs,
+                                   const std::vector<CsrPtr>& adjs,
                                    const std::vector<double>& labels,
                                    const std::vector<int>& train,
                                    const std::vector<int>& test, int steps,
@@ -47,8 +47,7 @@ std::vector<double> train_eval_gnn(const std::vector<Mat>& feats,
                               1e-9));
   }
   auto forward = [&](std::size_t d) {
-    Tensor nodes = gnn.forward_nodes(make_tensor(feats[d], false),
-                                     make_tensor(adjs[d], false));
+    Tensor nodes = gnn.forward_nodes(make_tensor(feats[d], false), adjs[d]);
     // Scaled sum pooling: keeps size information while staying in a range
     // the linear head can map onto z-scored log targets.
     return head.forward(scale(sum_rows(nodes), 0.02f));
@@ -145,7 +144,8 @@ Task4Result run_task4(NetTag& model, const Corpus& corpus,
 
   // GNN features: structural + physical + the per-gate netlist-stage power
   // estimate (PowPrediCT consumes per-cell synthesis reports the same way).
-  std::vector<Mat> feats(n), adjs(n);
+  std::vector<Mat> feats(n);
+  std::vector<CsrPtr> adjs(n);
   for (std::size_t d = 0; d < n; ++d) {
     const Netlist& nl = corpus.designs[d].gen.netlist;
     const Mat base = netlist_base_features(nl);

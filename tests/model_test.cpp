@@ -12,9 +12,21 @@
 namespace nettag {
 namespace {
 
+/// Expands a CSR adjacency to dense for entry-wise assertions.
+Mat dense(const Csr& a) {
+  Mat m(a.rows, a.cols);
+  for (int i = 0; i < a.rows; ++i) {
+    for (int p = a.row_ptr[static_cast<std::size_t>(i)];
+         p < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      m.at(i, a.col[static_cast<std::size_t>(p)]) = a.val[static_cast<std::size_t>(p)];
+    }
+  }
+  return m;
+}
+
 TEST(GraphUtils, NormalizedAdjacencySymmetric) {
   const std::vector<std::pair<int, int>> edges = {{0, 1}, {1, 2}, {0, 2}};
-  const Mat a = normalized_adjacency(4, edges);
+  const Mat a = dense(*normalized_adjacency(4, edges));
   ASSERT_EQ(a.rows, 4);
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 4; ++j) {
@@ -30,7 +42,7 @@ TEST(GraphUtils, NormalizationBoundsRowSums) {
   // D^-1/2 (A+I) D^-1/2 has spectral radius <= 1; its entries are positive
   // and each row sums to <= sqrt(deg) bound. Check entries in (0, 1].
   const std::vector<std::pair<int, int>> edges = {{0, 1}, {1, 2}, {2, 3}, {3, 0}};
-  const Mat a = normalized_adjacency(4, edges);
+  const Mat a = dense(*normalized_adjacency(4, edges));
   for (float v : a.v) {
     EXPECT_GE(v, 0.f);
     EXPECT_LE(v, 1.f);
@@ -38,7 +50,7 @@ TEST(GraphUtils, NormalizationBoundsRowSums) {
 }
 
 TEST(GraphUtils, TagAdjacencyConnectsCls) {
-  const Mat a = tag_adjacency(3, {{0, 1}});
+  const Mat a = dense(*tag_adjacency(3, {{0, 1}}));
   ASSERT_EQ(a.rows, 4);
   // CLS (index 3) connected to every node.
   for (int i = 0; i < 3; ++i) {
@@ -161,9 +173,8 @@ TEST(TagFormer, OutputShapes) {
   TagFormer tf(cfg, rng);
   Mat feats(5, 10);
   for (float& x : feats.v) x = 0.1f;
-  const Mat adj = tag_adjacency(5, {{0, 1}, {1, 2}});
   const TagFormer::Output out =
-      tf.forward(make_tensor(feats, false), make_tensor(adj, false));
+      tf.forward(make_tensor(feats, false), {{0, 1}, {1, 2}});
   EXPECT_EQ(out.nodes->value.rows, 5);
   EXPECT_EQ(out.nodes->value.cols, 12);
   EXPECT_EQ(out.cls->value.rows, 1);
@@ -180,11 +191,9 @@ TEST(TagFormer, StructureChangesEmbedding) {
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 6; ++j) feats.at(i, j) = 0.3f * static_cast<float>(i);
   }
-  const Mat chain = tag_adjacency(4, {{0, 1}, {1, 2}, {2, 3}});
-  const Mat star = tag_adjacency(4, {{0, 1}, {0, 2}, {0, 3}});
   const Tensor f = make_tensor(feats, false);
-  const auto a = tf.forward(f, make_tensor(chain, false));
-  const auto b = tf.forward(f, make_tensor(star, false));
+  const auto a = tf.forward(f, {{0, 1}, {1, 2}, {2, 3}});  // chain
+  const auto b = tf.forward(f, {{0, 1}, {0, 2}, {0, 3}});  // star
   double diff = 0;
   for (std::size_t i = 0; i < a.cls->value.v.size(); ++i) {
     diff += std::abs(a.cls->value.v[i] - b.cls->value.v[i]);
@@ -200,8 +209,7 @@ TEST(TagFormer, GradientsReachAllParams) {
   TagFormer tf(cfg, rng);
   Mat feats(3, 6);
   for (float& x : feats.v) x = 0.5f;
-  const Mat adj = tag_adjacency(3, {{0, 1}});
-  const auto out = tf.forward(make_tensor(feats, false), make_tensor(adj, false));
+  const auto out = tf.forward(make_tensor(feats, false), {{0, 1}});
   Mat target(1, cfg.out_dim);
   Tensor loss = mse_loss(out.cls, target);
   backward(loss);
@@ -221,13 +229,11 @@ TEST(Gcn, NodeAndGraphShapes) {
   cfg.out_dim = 5;
   Gcn gcn(cfg, rng);
   Mat feats(6, 8);
-  const Mat adj = normalized_adjacency(6, {{0, 1}, {2, 3}});
-  const Tensor nodes =
-      gcn.forward_nodes(make_tensor(feats, false), make_tensor(adj, false));
+  const CsrPtr adj = normalized_adjacency(6, {{0, 1}, {2, 3}});
+  const Tensor nodes = gcn.forward_nodes(make_tensor(feats, false), adj);
   EXPECT_EQ(nodes->value.rows, 6);
   EXPECT_EQ(nodes->value.cols, 5);
-  const Tensor graph =
-      gcn.forward_graph(make_tensor(feats, false), make_tensor(adj, false));
+  const Tensor graph = gcn.forward_graph(make_tensor(feats, false), adj);
   EXPECT_EQ(graph->value.rows, 1);
   EXPECT_EQ(graph->value.cols, 5);
 }

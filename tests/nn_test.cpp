@@ -1,5 +1,6 @@
 // Autograd correctness: finite-difference gradient checks for every op,
-// Mat dimension hardening, ensure_grad zeroing on reallocation, plus
+// the sparse graph kernels (CSR adjacency, spmm, linear attention) against
+// dense references, Mat dimension hardening, ensure_grad zeroing on reallocation, plus
 // end-to-end training sanity (XOR learning, InfoNCE convergence).
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <functional>
 
 #include "analysis/check.hpp"
+#include "model/graph.hpp"
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
 
@@ -201,6 +203,173 @@ TEST(Autograd, OpOutputGradientAllocatedByBackward) {
   EXPECT_EQ(h->grad.rows, 2);
   EXPECT_EQ(h->grad.cols, 3);
   EXPECT_EQ(a->grad.v.size(), 6u);
+}
+
+// --- graph kernels: CSR adjacency, spmm, linear attention -------------------
+
+/// D^-1/2 (A + I) D^-1/2 built densely, step for step as the dense builder
+/// that the CSR one replaced: the reference its values must equal exactly.
+Mat dense_normalized_adjacency(int n,
+                               const std::vector<std::pair<int, int>>& edges) {
+  Mat a(n, n);
+  for (int i = 0; i < n; ++i) a.at(i, i) = 1.f;
+  for (const auto& [u, v] : edges) {
+    a.at(u, v) = 1.f;
+    a.at(v, u) = 1.f;
+  }
+  std::vector<float> deg(static_cast<std::size_t>(n), 0.f);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) deg[static_cast<std::size_t>(i)] += a.at(i, j);
+  }
+  for (int i = 0; i < n; ++i) {
+    const float di = 1.f / std::sqrt(std::max(deg[static_cast<std::size_t>(i)], 1.f));
+    for (int j = 0; j < n; ++j) {
+      const float dj = 1.f / std::sqrt(std::max(deg[static_cast<std::size_t>(j)], 1.f));
+      a.at(i, j) *= di * dj;
+    }
+  }
+  return a;
+}
+
+Mat to_dense(const Csr& a) {
+  Mat m(a.rows, a.cols);
+  for (int i = 0; i < a.rows; ++i) {
+    for (int p = a.row_ptr[static_cast<std::size_t>(i)];
+         p < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      m.at(i, a.col[static_cast<std::size_t>(p)]) += a.val[static_cast<std::size_t>(p)];
+    }
+  }
+  return m;
+}
+
+/// Exact equality with the dense reference, plus CSR well-formedness: no
+/// stored zeros, strictly ascending columns within each row.
+void expect_matches_dense(const Csr& a, const Mat& want) {
+  ASSERT_EQ(a.rows, want.rows);
+  ASSERT_EQ(a.cols, want.cols);
+  const Mat got = to_dense(a);
+  for (std::size_t i = 0; i < want.v.size(); ++i) {
+    ASSERT_EQ(got.v[i], want.v[i]) << "entry " << i;
+  }
+  std::size_t nonzero = 0;
+  for (float x : want.v) nonzero += x != 0.f ? 1 : 0;
+  EXPECT_EQ(a.nnz(), nonzero);
+  for (int i = 0; i < a.rows; ++i) {
+    for (int p = a.row_ptr[static_cast<std::size_t>(i)] + 1;
+         p < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      EXPECT_LT(a.col[static_cast<std::size_t>(p) - 1],
+                a.col[static_cast<std::size_t>(p)])
+          << "row " << i;
+    }
+  }
+}
+
+TEST(GraphKernels, CsrAdjacencyEqualsDenseReference) {
+  // Duplicate, reversed and self-loop edges, and an isolated node (5).
+  const std::vector<std::pair<int, int>> edges = {
+      {0, 1}, {1, 0}, {0, 1}, {2, 2}, {1, 2}, {3, 4}, {4, 3}, {2, 0}, {4, 4}};
+  expect_matches_dense(*normalized_adjacency(6, edges),
+                       dense_normalized_adjacency(6, edges));
+
+  // A random multigraph with many repeats and self loops, and the TAGFormer
+  // form of it with the virtual [CLS] node appended at index n.
+  Rng rng(77);
+  const int n = 40;
+  std::vector<std::pair<int, int>> random_edges;
+  for (int e = 0; e < 150; ++e) {
+    random_edges.emplace_back(static_cast<int>(rng.index(n)),
+                              static_cast<int>(rng.index(n)));
+  }
+  random_edges.push_back(random_edges.front());
+  random_edges.emplace_back(random_edges.back().second, random_edges.back().first);
+  expect_matches_dense(*normalized_adjacency(n, random_edges),
+                       dense_normalized_adjacency(n, random_edges));
+  std::vector<std::pair<int, int>> with_cls = random_edges;
+  for (int i = 0; i < n; ++i) with_cls.emplace_back(i, n);
+  expect_matches_dense(*tag_adjacency(n, random_edges),
+                       dense_normalized_adjacency(n + 1, with_cls));
+
+  EXPECT_EQ(normalized_adjacency(0, {})->nnz(), 0u);
+  EXPECT_THROW(normalized_adjacency(3, {{0, 3}}), CheckError);
+  EXPECT_THROW(normalized_adjacency(3, {{-1, 0}}), CheckError);
+}
+
+TEST(GraphKernels, SpmmMatchesDenseAndGradChecks) {
+  // Rectangular and asymmetric, with an empty row: the backward must gather
+  // through the true transpose, not assume a symmetric adjacency.
+  auto a = std::make_shared<Csr>();
+  a->rows = 3;
+  a->cols = 4;
+  a->row_ptr = {0, 2, 2, 5};
+  a->col = {0, 3, 1, 2, 3};
+  a->val = {0.5f, -1.2f, 0.7f, 2.f, 0.3f};
+  const CsrPtr sparse = a;
+  Tensor x = rand_param(4, 3, 40);
+  const Tensor got = spmm(sparse, x);
+  const Tensor want = matmul(make_tensor(to_dense(*sparse), false), x);
+  ASSERT_EQ(got->value.rows, 3);
+  for (std::size_t i = 0; i < want->value.v.size(); ++i) {
+    EXPECT_NEAR(got->value.v[i], want->value.v[i], 1e-6f);
+  }
+  gradcheck([&] { return to_scalar(spmm(sparse, x)); }, {x});
+  const CsrPtr adj = normalized_adjacency(4, {{0, 1}, {1, 2}, {3, 3}});
+  gradcheck([&] { return to_scalar(relu(spmm(adj, spmm(adj, x)))); }, {x});
+  EXPECT_THROW(spmm(adj, rand_param(5, 3, 41)), CheckError);
+}
+
+TEST(GraphKernels, LinearAttentionGrad) {
+  // Fused op: covers the Frobenius normalization of q and k, the K^T V and
+  // K^T 1 reductions, and the row-wise division.
+  Tensor q = rand_param(5, 3, 42);
+  Tensor k = rand_param(5, 3, 43);
+  Tensor v = rand_param(5, 4, 44);
+  gradcheck([&] { return to_scalar(linear_attention(q, k, v)); }, {q, k, v});
+  // One input feeding all three projections accumulates three gradients.
+  Tensor x = rand_param(4, 3, 45);
+  Tensor w = rand_param(3, 3, 46);
+  gradcheck(
+      [&] {
+        Tensor h = matmul(x, w);
+        return to_scalar(linear_attention(h, tanh_op(h), h));
+      },
+      {x, w});
+}
+
+TEST(GraphKernels, LinearAttentionMatchesNaiveDenseFormula) {
+  // out_i = (v_i + sum_j (Q_i . K_j) v_j / M) / (1 + sum_j (Q_i . K_j) / M)
+  // with Q, K Frobenius-normalized — evaluated here through the explicit
+  // M x M score matrix the op never forms.
+  const int m = 9, d = 4, dv = 5;
+  const Mat q = rand_mat(m, d, 47), k = rand_mat(m, d, 48), v = rand_mat(m, dv, 49);
+  const Tensor out = linear_attention(make_tensor(q), make_tensor(k), make_tensor(v));
+  ASSERT_EQ(out->value.rows, m);
+  ASSERT_EQ(out->value.cols, dv);
+  auto frob = [](const Mat& x) {
+    double s = 0;
+    for (float e : x.v) s += static_cast<double>(e) * e;
+    return std::sqrt(s);
+  };
+  const double qn = frob(q), kn = frob(k);
+  for (int i = 0; i < m; ++i) {
+    double den = 1.0;
+    std::vector<double> num(static_cast<std::size_t>(dv));
+    for (int c = 0; c < dv; ++c) num[static_cast<std::size_t>(c)] = v.at(i, c);
+    for (int j = 0; j < m; ++j) {
+      double score = 0;
+      for (int p = 0; p < d; ++p) score += (q.at(i, p) / qn) * (k.at(j, p) / kn);
+      den += score / m;
+      for (int c = 0; c < dv; ++c) {
+        num[static_cast<std::size_t>(c)] += score * v.at(j, c) / m;
+      }
+    }
+    for (int c = 0; c < dv; ++c) {
+      EXPECT_NEAR(out->value.at(i, c), num[static_cast<std::size_t>(c)] / den, 1e-5)
+          << "row " << i << " col " << c;
+    }
+  }
+  EXPECT_THROW(linear_attention(make_tensor(q), make_tensor(rand_mat(m, d + 1, 50)),
+                                make_tensor(v)),
+               CheckError);
 }
 
 TEST(Autograd, DropoutEvalIsIdentity) {

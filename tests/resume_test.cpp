@@ -6,13 +6,18 @@
 // SIGINT/SIGTERM) at points inside each phase and at the phase boundary.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/pretrain.hpp"
 #include "nn/train_state.hpp"
 #include "tasks/finetune.hpp"
+#include "util/checksum.hpp"
 
 namespace nettag {
 namespace {
@@ -197,6 +202,43 @@ TEST(PretrainResume, MissingCheckpointRejected) {
   Rng rng(7);
   EXPECT_THROW(resume_pretrain(model, shared_corpus(), po, rng),
                std::runtime_error);
+}
+
+TEST(PretrainResume, PreLinearAttentionTrainStateRejected) {
+  // Rewrite a real record as the pre-linear-attention "NTS2" version, with
+  // a valid CRC, so only the version can refuse it.
+  const std::string prefix = "/tmp/nettag_resume_nts2";
+  run_pretrain(prefix, /*halt_after=*/8);  // stops inside the tag phase
+  const std::string path = prefix + ".trainer.bin";
+  std::string buf;
+  {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(static_cast<bool>(in));
+    buf.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(buf.size(), 8u);
+  buf.resize(buf.size() - sizeof(std::uint32_t));
+  const std::uint32_t nts2 = 0x4e545332;
+  std::memcpy(buf.data(), &nts2, sizeof(nts2));
+  const std::uint32_t crc = crc32(buf);
+  buf.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  }
+  NetTag model(tiny_config(), 99);
+  PretrainOptions po = small_options();
+  po.checkpoint.prefix = prefix;
+  Rng rng(7);
+  std::string err;
+  try {
+    resume_pretrain(model, shared_corpus(), po, rng);
+  } catch (const std::runtime_error& e) {
+    err = e.what();
+  }
+  EXPECT_NE(err.find("NTS2"), std::string::npos) << err;
+  EXPECT_NE(err.find("linear attention"), std::string::npos) << err;
+  remove_checkpoint(prefix);
 }
 
 // --- fine-tuning heads -------------------------------------------------------

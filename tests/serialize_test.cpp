@@ -164,6 +164,37 @@ TEST(Serialize, CheckpointBadFormatRejected) {
   std::remove("/tmp/nettag_ckpt_badfmt.ckpt");
 }
 
+TEST(Serialize, PreLinearAttentionCheckpointRefused) {
+  // A v1 manifest names the softmax multi-head TAGFormer. Its parameter
+  // files must never be read into the linear-attention parameter list, even
+  // when every other key is valid.
+  NetTagConfig mc;
+  mc.expr_llm = TextEncoderConfig::tiny();
+  mc.tag_d_model = 32;
+  mc.out_dim = 24;
+  const NetTag model(mc, 5);
+  const std::string prefix = "/tmp/nettag_ckpt_v1";
+  save_checkpoint(model, prefix);
+  auto entries = load_manifest(prefix + ".ckpt");
+  ASSERT_EQ(entries.front().first, "format");
+  EXPECT_EQ(entries.front().second, "nettag-ckpt-v2");
+  entries.front().second = "nettag-ckpt-v1";
+  save_manifest(prefix + ".ckpt", entries);
+  std::string err;
+  try {
+    read_checkpoint_config(prefix);
+  } catch (const std::runtime_error& e) {
+    err = e.what();
+  }
+  EXPECT_NE(err.find("predates the linear-attention TAGFormer"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("retrain"), std::string::npos) << err;
+  EXPECT_THROW(load_checkpoint(prefix), std::runtime_error);
+  for (const char* suffix : {".ckpt", ".exprllm.bin", ".tagformer.bin"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
 // --- crash-safety contract ---------------------------------------------------
 
 std::string read_file(const std::string& path) {
@@ -419,7 +450,7 @@ std::string config_error(const std::string& prefix) {
 
 TEST(Serialize, CheckpointConfigRejectsDuplicateKeysWithLines) {
   const std::string prefix = "/tmp/nettag_ckpt_dup";
-  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},
+  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v2"},
                                    {"out_dim", "48"},
                                    {"out_dim", "64"}});
   const std::string err = config_error(prefix);
@@ -433,7 +464,7 @@ TEST(Serialize, CheckpointConfigRejectsBadIntegers) {
   const std::string prefix = "/tmp/nettag_ckpt_badint";
   for (const char* bad : {"banana", "0", "-3", "12junk", "99999999999"}) {
     save_manifest(prefix + ".ckpt",
-                  {{"format", "nettag-ckpt-v1"}, {"tag_layers", bad}});
+                  {{"format", "nettag-ckpt-v2"}, {"tag_layers", bad}});
     const std::string err = config_error(prefix);
     EXPECT_NE(err.find("tag_layers"), std::string::npos)
         << "value '" << bad << "': " << err;
@@ -444,7 +475,7 @@ TEST(Serialize, CheckpointConfigRejectsBadIntegers) {
 
 TEST(Serialize, CheckpointConfigRejectsIndivisibleHeads) {
   const std::string prefix = "/tmp/nettag_ckpt_heads";
-  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},
+  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v2"},
                                    {"expr_d_model", "10"},
                                    {"expr_num_heads", "4"}});
   const std::string err = config_error(prefix);
@@ -454,7 +485,7 @@ TEST(Serialize, CheckpointConfigRejectsIndivisibleHeads) {
 
 TEST(Serialize, CheckpointConfigRejectsBadBoolean) {
   const std::string prefix = "/tmp/nettag_ckpt_bool";
-  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},
+  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v2"},
                                    {"use_text_attributes", "yes"}});
   const std::string err = config_error(prefix);
   EXPECT_NE(err.find("use_text_attributes"), std::string::npos) << err;
